@@ -12,7 +12,6 @@ from .cross_mul import (
     cross_sum,
     plum_mul,
     rapid_mul,
-    rapid_mul_columns,
     wedge_mul,
     wedge_mul_single,
 )
@@ -37,7 +36,7 @@ from .digit_string import (
     segment,
     value_of,
 )
-from .plum_div import DivisionTrace, div_decimal, divide
+from .plum_div import DivisionTrace, div_decimal
 from .trace import RenderedTrace, render_div, render_mul
 
 __version__ = "0.1.0"
@@ -61,13 +60,11 @@ __all__ = [
     "normalize",
     "value_of",
     "cross_sum",
-    "rapid_mul_columns",
     "rapid_mul",
     "plum_mul",
     "wedge_mul",
     "wedge_mul_single",
     "MulTrace",
-    "divide",
     "div_decimal",
     "DivisionTrace",
     "render_mul",

@@ -15,14 +15,13 @@ carry while the signed columns are normalized.
 
 from __future__ import annotations
 
-import hashlib
-import random
 import time
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cross_mul import MulTrace, plum_mul, rapid_mul, wedge_mul, wedge_mul_single
-from .digit_string import DigitString, normalize_stats
+from .cross_mul import MUL_METHODS, wedge_mul_single
+from .digit_string import normalize_stats
+from .equivalence import _random_digits, _seeded_rng
 from .oracle import Nat, o_mul
 
 __all__ = ["BenchMetrics", "run_bench", "metrics_to_csv", "BENCH_METHODS", "CSV_HEADER"]
@@ -53,29 +52,7 @@ class BenchMetrics:
     elapsed_ns: int
 
 
-def _seeded_rng(seed: int, *labels: int | str) -> random.Random:
-    key = ":".join([str(seed), *map(str, labels)]).encode()
-    return random.Random(int.from_bytes(hashlib.sha256(key).digest()[:8], "big"))
-
-
-def _random_operand(rng: random.Random, size: int) -> DigitString:
-    digits = [rng.randint(1, 9)] + [rng.randint(0, 9) for _ in range(size - 1)]
-    return DigitString(tuple(digits))
-
-
-def _run_method(method: str, a: DigitString, b: DigitString) -> tuple[DigitString, MulTrace]:
-    if method == "cross":
-        return rapid_mul(a, b)
-    if method == "plum":
-        return plum_mul(a, b)
-    if method == "wedge":
-        return wedge_mul(a, b)
-    if method == "wedge_single":
-        return wedge_mul_single(a, int(b))
-    raise ValueError(f"unknown bench method {method!r}")
-
-
-BENCH_METHODS = ("cross", "plum", "wedge", "wedge_single")
+BENCH_METHODS = (*MUL_METHODS, "wedge_single")
 
 
 def run_bench(
@@ -102,6 +79,7 @@ def run_bench(
 
     results = []
     for method in sorted(methods):
+        single = method == "wedge_single"
         for size in sorted(sizes):
             mul_count = 0
             carry_count = 0
@@ -110,16 +88,11 @@ def run_bench(
             col_count = 0
             elapsed = 0
             for trial in range(trials):
-                rng_a = _seeded_rng(seed, method, size, trial, 0)
-                rng_b = _seeded_rng(seed, method, size, trial, 1)
-                a = _random_operand(rng_a, size)
-                if method == "wedge_single":
-                    b = DigitString((rng_b.randint(1, 9),))
-                else:
-                    b = _random_operand(rng_b, size)
+                a = _random_digits(_seeded_rng(seed, method, size, trial, 0), size)
+                b = _random_digits(_seeded_rng(seed, method, size, trial, 1), 1 if single else size)
 
                 start = time.perf_counter_ns()
-                product, trace = _run_method(method, a, b)
+                product, trace = wedge_mul_single(a, b[0]) if single else MUL_METHODS[method](a, b)
                 elapsed += time.perf_counter_ns() - start
 
                 expected = o_mul(Nat.from_digits(a.digits), Nat.from_digits(b.digits))

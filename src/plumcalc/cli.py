@@ -160,20 +160,11 @@ def _cmd_div(args: argparse.Namespace) -> int:
     if args.method == "oracle":
         if args.trace:
             raise ValueError("--trace is not available for --method oracle")
-        if args.decimals:
-            scaled = Nat.from_int(int(a) * 10**args.decimals)
-            q, r = o_divmod(scaled, Nat.from_digits(b.digits))
-            text = str(q.to_int()).zfill(args.decimals + 1)
-            print(f"{text[:-args.decimals]}.{text[-args.decimals:]} r {r}")
-        else:
-            q, r = o_divmod(Nat.from_digits(a.digits), Nat.from_digits(b.digits))
-            print(f"{q} r {r}")
+        scaled = plum_div._scale(a, args.decimals)
+        q, r = o_divmod(Nat.from_digits(scaled.digits), Nat.from_digits(b.digits))
+        print(f"{plum_div._point_text(str(q), args.decimals)} r {r}")
         return EXIT_OK
-    if args.decimals:
-        text, remainder, trace = plum_div.div_decimal(a, b, args.decimals, args.method)
-    else:
-        quotient, remainder, trace = plum_div.divmod(a, b, args.method)
-        text = str(quotient)
+    text, remainder, trace = plum_div.div_decimal(a, b, args.decimals, args.method)
     if args.trace:
         print(render_div(trace, ascii_only=args.ascii))
     print(f"{text} r {remainder}")
@@ -196,7 +187,7 @@ def _print_reports(reports: list[LawReport]) -> bool:
 def _cmd_verify(args: argparse.Namespace) -> int:
     reports: list[LawReport] = []
     if args.suite in LAW_SUITES or args.suite == "all":
-        reports.extend(verify_laws(args.suite if args.suite != "all" else "all"))
+        reports.extend(verify_laws(args.suite))
     if args.suite in ("mul-equiv", "all"):
         reports.extend(verify_mul_equivalence(limit=args.limit, random_pairs=args.random_pairs))
     if args.suite in ("div-equiv", "all"):

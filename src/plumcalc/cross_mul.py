@@ -21,13 +21,13 @@ Column conventions, 0-indexed from the most significant end:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .digit_core import carry, clubsuit, wedge
 from .digit_string import (
     DigitString,
-    SegmentString,
     SignedDigitString,
+    _horner,
     normalize,
     segment,
 )
@@ -37,7 +37,6 @@ __all__ = [
     "ColumnBreakdown",
     "MulTrace",
     "cross_sum",
-    "rapid_mul_columns",
     "rapid_mul",
     "plum_mul",
     "wedge_mul_single",
@@ -84,11 +83,7 @@ class MulTrace:
 
     def column_value(self) -> int:
         """Value of the pre-normalization columns in radix ``10**radix_power``."""
-        radix = 10**self.radix_power
-        total = 0
-        for c in self.signed.columns:
-            total = total * radix + c
-        return total
+        return _horner(self.signed.columns, 10**self.radix_power)
 
 
 def cross_sum(xs: list[int] | tuple[int, ...], ys: list[int] | tuple[int, ...]) -> int:
@@ -100,63 +95,77 @@ def cross_sum(xs: list[int] | tuple[int, ...], ys: list[int] | tuple[int, ...]) 
     return sum(x * y for x, y in zip(xs, reversed(ys)))
 
 
-def _zero_trace(method: str, a: DigitString, b: DigitString, radix_power: int = 1) -> tuple[DigitString, MulTrace]:
-    zero = DigitString((0,))
-    trace = MulTrace(
-        method=method,
-        a=a,
-        b=b,
-        radix_power=radix_power,
-        columns=(ColumnBreakdown((), 0),),
-        signed=SignedDigitString((0,)),
-        product=zero,
-    )
-    return zero, trace
+def _assemble(
+    method: str, a: DigitString, b: DigitString, radix_power: int, column_terms: Iterable[list[Term]]
+) -> tuple[DigitString, MulTrace]:
+    """Sum each column's terms, normalize the signed columns, and record the trace.
 
-
-def rapid_mul_columns(a: SegmentString, b: SegmentString) -> SignedDigitString:
-    """Column sequence of cross product sums for two segmented operands.
-
-    Operands must share a segment length; the one with more segments plays the
-    multiplicand (they are swapped otherwise).  The result has ``m + n - 1``
-    columns in radix ``10**length`` and normalizes to the true product.
+    ``column_terms`` gives one term list per column, most significant first.
+    It is read one column at a time, so each list is summed while its terms
+    are fresh and is dropped once its breakdown is built.
     """
-    if a.length != b.length:
-        raise ValueError(f"segment lengths differ: {a.length} vs {b.length}")
-    if len(a) < len(b):
-        a, b = b, a
-    m, n = len(a.segments), len(b.segments)
-    columns = []
-    for k in range(m + n - 1):
-        total = 0
-        for i in range(max(0, k - n + 1), min(m, k + 1)):
-            total += a.segments[i] * b.segments[k - i]
-        columns.append(total)
-    return SignedDigitString(tuple(columns))
-
-
-def rapid_mul(a: DigitString, b: DigitString, seg_len: int = 1) -> tuple[DigitString, MulTrace]:
-    """Plain rapid multiplication via cross product sums over segments."""
-    if a.is_zero or b.is_zero:
-        return _zero_trace("cross", a, b, seg_len)
-    sa, sb = segment(a, seg_len), segment(b, seg_len)
-    if len(sa) < len(sb):
-        sa, sb = sb, sa
-    m, n = len(sa.segments), len(sb.segments)
     breakdowns = []
-    columns = []
+    totals = []
+    for terms in column_terms:
+        total = sum(t.value for t in terms)
+        breakdowns.append(ColumnBreakdown(tuple(terms), total))
+        totals.append(total)
+    signed = SignedDigitString(tuple(totals))
+    product = normalize(signed, radix_power)
+    return product, MulTrace(method, a, b, radix_power, tuple(breakdowns), signed, product)
+
+
+def _cross_terms(xs: tuple[int, ...], ys: tuple[int, ...]) -> Iterator[list[Term]]:
+    m, n = len(xs), len(ys)
     for k in range(m + n - 1):
         terms = []
         for i in range(max(0, k - n + 1), min(m, k + 1)):
             j = k - i
-            terms.append(Term("product", i, j, sa.segments[i] * sb.segments[j]))
-        total = sum(t.value for t in terms)
-        breakdowns.append(ColumnBreakdown(tuple(terms), total))
-        columns.append(total)
-    signed = SignedDigitString(tuple(columns))
-    product = normalize(signed, seg_len)
-    trace = MulTrace("cross", a, b, seg_len, tuple(breakdowns), signed, product)
-    return product, trace
+            terms.append(Term("product", i, j, xs[i] * ys[j]))
+        yield terms
+
+
+def rapid_mul(a: DigitString, b: DigitString, seg_len: int = 1) -> tuple[DigitString, MulTrace]:
+    """Plain rapid multiplication via cross product sums over segments.
+
+    The operand with more segments plays the multiplicand, so the result has
+    ``m + n - 1`` columns in radix ``10**seg_len`` whatever the argument order.
+    """
+    if a.is_zero or b.is_zero:
+        return _assemble("cross", a, b, seg_len, [[]])
+    sa, sb = segment(a, seg_len).segments, segment(b, seg_len).segments
+    if len(sa) < len(sb):
+        sa, sb = sb, sa
+    return _assemble("cross", a, b, seg_len, _cross_terms(sa, sb))
+
+
+def _plum_terms(A: tuple[int, ...], B: tuple[int, ...]) -> Iterator[list[Term]]:
+    m, n = len(A), len(B)
+    k_last = m + n - 2
+    if k_last == 0:
+        yield [Term("product", 0, 0, A[0] * B[0])]
+        return
+    trailing = A[m - 1] * B[n - 1]
+    for k in range(k_last + 1):
+        terms = []
+        if k == 0:
+            terms.append(Term("product", 0, 0, A[0] * B[0]))
+        else:
+            for i in range(max(0, k - n + 1), min(m, k + 1)):
+                j = k - i
+                if (i, j) == (m - 1, n - 1):
+                    continue
+                terms.append(Term("residue", i, j, clubsuit(A[i], B[j])))
+        for i in range(max(0, k + 2 - n), min(m, k + 2)):
+            j = k + 1 - i
+            if (i, j) == (m - 1, n - 1):
+                continue
+            terms.append(Term("carry", i, j, carry(A[i], B[j])))
+        if k == k_last - 1:
+            terms.append(Term("product_tens", m - 1, n - 1, trailing // 10))
+        if k == k_last:
+            terms.append(Term("product_ones", m - 1, n - 1, trailing % 10))
+        yield terms
 
 
 def plum_mul(a: DigitString, b: DigitString) -> tuple[DigitString, MulTrace]:
@@ -168,66 +177,19 @@ def plum_mul(a: DigitString, b: DigitString) -> tuple[DigitString, MulTrace]:
     a residue term plus a carry term one column up.
     """
     if a.is_zero or b.is_zero:
-        return _zero_trace("plum", a, b)
-    A, B = a.digits, b.digits
-    m, n = len(A), len(B)
-    k_last = m + n - 2
-    breakdowns = []
-    columns = []
-    if k_last == 0:
-        terms = (Term("product", 0, 0, A[0] * B[0]),)
-        breakdowns.append(ColumnBreakdown(terms, terms[0].value))
-        columns.append(terms[0].value)
-    else:
-        trailing = A[m - 1] * B[n - 1]
-        for k in range(k_last + 1):
-            terms = []
-            if k == 0:
-                terms.append(Term("product", 0, 0, A[0] * B[0]))
-            else:
-                for i in range(max(0, k - n + 1), min(m, k + 1)):
-                    j = k - i
-                    if (i, j) == (m - 1, n - 1):
-                        continue
-                    terms.append(Term("residue", i, j, clubsuit(A[i], B[j])))
-            for i in range(max(0, k + 2 - n), min(m, k + 2)):
-                j = k + 1 - i
-                if (i, j) == (m - 1, n - 1):
-                    continue
-                terms.append(Term("carry", i, j, carry(A[i], B[j])))
-            if k == k_last - 1:
-                terms.append(Term("product_tens", m - 1, n - 1, trailing // 10))
-            if k == k_last:
-                terms.append(Term("product_ones", m - 1, n - 1, trailing % 10))
-            total = sum(t.value for t in terms)
-            breakdowns.append(ColumnBreakdown(tuple(terms), total))
-            columns.append(total)
-    signed = SignedDigitString(tuple(columns))
-    product = normalize(signed)
-    trace = MulTrace("plum", a, b, 1, tuple(breakdowns), signed, product)
-    return product, trace
+        return _assemble("plum", a, b, 1, [[]])
+    return _assemble("plum", a, b, 1, _plum_terms(a.digits, b.digits))
 
 
-def _wedge_columns(
-    method: str, a: DigitString, b: DigitString
-) -> tuple[DigitString, MulTrace]:
-    A, B = a.digits, b.digits
+def _wedge_terms(A: tuple[int, ...], B: tuple[int, ...]) -> Iterator[list[Term]]:
     m, n = len(A), len(B)
     padded = (0,) + A + (0,)
-    breakdowns = []
-    columns = []
     for k in range(m + n):
         terms = []
         for i in range(max(0, k - n + 1), min(m, k) + 1):
             j = k - i
             terms.append(Term("wedge", i, j, wedge(padded[i], padded[i + 1], B[j])))
-        total = sum(t.value for t in terms)
-        breakdowns.append(ColumnBreakdown(tuple(terms), total))
-        columns.append(total)
-    signed = SignedDigitString(tuple(columns))
-    product = normalize(signed)
-    trace = MulTrace(method, a, b, 1, tuple(breakdowns), signed, product)
-    return product, trace
+        yield terms
 
 
 def wedge_mul_single(a: DigitString, c: int) -> tuple[DigitString, MulTrace]:
@@ -239,9 +201,10 @@ def wedge_mul_single(a: DigitString, c: int) -> tuple[DigitString, MulTrace]:
     """
     if not 0 <= c <= 9:
         raise ValueError(f"multiplier must be a digit in 0..9, got {c}")
+    b = DigitString((c,))
     if a.is_zero or c == 0:
-        return _zero_trace("wedge_single", a, DigitString((c,)))
-    return _wedge_columns("wedge_single", a, DigitString((c,)))
+        return _assemble("wedge_single", a, b, 1, [[]])
+    return _assemble("wedge_single", a, b, 1, _wedge_terms(a.digits, b.digits))
 
 
 def wedge_mul(a: DigitString, b: DigitString) -> tuple[DigitString, MulTrace]:
@@ -252,8 +215,8 @@ def wedge_mul(a: DigitString, b: DigitString) -> tuple[DigitString, MulTrace]:
     for ``len(a) + len(b)`` columns in total.
     """
     if a.is_zero or b.is_zero:
-        return _zero_trace("wedge", a, b)
-    return _wedge_columns("wedge", a, b)
+        return _assemble("wedge", a, b, 1, [[]])
+    return _assemble("wedge", a, b, 1, _wedge_terms(a.digits, b.digits))
 
 
 MUL_METHODS: dict[str, Callable[[DigitString, DigitString], tuple[DigitString, MulTrace]]] = {

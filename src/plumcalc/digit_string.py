@@ -26,6 +26,14 @@ __all__ = [
 _GROUP_SEPARATORS = " _"
 
 
+def _horner(values: Iterable[int], radix: int) -> int:
+    """Value of ``values`` read most significant first as digits in ``radix``."""
+    total = 0
+    for v in values:
+        total = total * radix + v
+    return total
+
+
 @dataclass(frozen=True)
 class DigitString:
     """Canonical base-10 digits of a non-negative integer, most significant first."""
@@ -47,10 +55,7 @@ class DigitString:
         return cls(tuple(int(ch) for ch in str(value)))
 
     def __int__(self) -> int:
-        value = 0
-        for d in self.digits:
-            value = value * 10 + d
-        return value
+        return _horner(self.digits, 10)
 
     def __str__(self) -> str:
         return "".join(str(d) for d in self.digits)
@@ -76,10 +81,7 @@ class SignedDigitString:
     columns: tuple[int, ...]
 
     def value(self) -> int:
-        total = 0
-        for c in self.columns:
-            total = total * 10 + c
-        return total
+        return _horner(self.columns, 10)
 
     def __len__(self) -> int:
         return len(self.columns)
@@ -109,11 +111,7 @@ class SegmentString:
         return len(self.segments)
 
     def value(self) -> int:
-        radix = 10**self.length
-        total = 0
-        for s in self.segments:
-            total = total * radix + s
-        return total
+        return _horner(self.segments, 10**self.length)
 
 
 def parse(text: str) -> DigitString:
@@ -125,7 +123,7 @@ def parse(text: str) -> DigitString:
         raise ValueError(f"empty numeral: {text!r}")
     if not cleaned.isascii() or not cleaned.isdigit():
         raise ValueError(f"not a non-negative decimal numeral: {text!r}")
-    return DigitString.from_int(int(cleaned))
+    return DigitString(tuple(map(int, cleaned.lstrip("0") or "0")))
 
 
 def segment(ds: DigitString, length: int) -> SegmentString:
@@ -135,22 +133,13 @@ def segment(ds: DigitString, length: int) -> SegmentString:
     digits = ds.digits
     pad = (-len(digits)) % length
     padded = (0,) * pad + digits
-    segments = []
-    for i in range(0, len(padded), length):
-        value = 0
-        for d in padded[i : i + length]:
-            value = value * 10 + d
-        segments.append(value)
-    return SegmentString(length=length, segments=tuple(segments))
+    segments = tuple(_horner(padded[i : i + length], 10) for i in range(0, len(padded), length))
+    return SegmentString(length=length, segments=segments)
 
 
 def value_of(s: SignedDigitString | Iterable[int]) -> int:
     """Exact integer value of a signed column sequence (empty sum is 0)."""
-    columns = s.columns if isinstance(s, SignedDigitString) else tuple(s)
-    total = 0
-    for c in columns:
-        total = total * 10 + c
-    return total
+    return _horner(s.columns if isinstance(s, SignedDigitString) else s, 10)
 
 
 def normalize_stats(s: SignedDigitString, radix_power: int = 1) -> tuple[DigitString, int]:
@@ -164,30 +153,26 @@ def normalize_stats(s: SignedDigitString, radix_power: int = 1) -> tuple[DigitSt
     if radix_power < 1:
         raise ValueError(f"radix power must be positive, got {radix_power}")
     radix = 10**radix_power
-    limbs: list[int] = []
+    digits: list[int] = []  # least significant first
     carry = 0
     carries = 0
     for column in reversed(s.columns):
         carry, limb = divmod(column + carry, radix)
         if carry != 0:
             carries += 1
-        limbs.append(limb)
+        for _ in range(radix_power):
+            limb, d = divmod(limb, 10)
+            digits.append(d)
     if carry < 0:
         raise ValueError("signed digit string has negative total value")
-    digits: list[int] = []
-    if carry > 0:
-        digits.extend(int(ch) for ch in str(carry))
-    for limb in reversed(limbs):
-        if digits:
-            digits.extend(int(ch) for ch in str(limb).zfill(radix_power))
-        else:
-            digits.extend(int(ch) for ch in str(limb))
+    while carry:
+        carry, d = divmod(carry, 10)
+        digits.append(d)
     # strip to canonical form
-    while len(digits) > 1 and digits[0] == 0:
-        digits.pop(0)
-    if not digits:
-        digits = [0]
-    return DigitString(tuple(digits)), carries
+    while len(digits) > 1 and digits[-1] == 0:
+        digits.pop()
+    digits.reverse()
+    return DigitString(tuple(digits) or (0,)), carries
 
 
 def normalize(s: SignedDigitString, radix_power: int = 1) -> DigitString:

@@ -38,11 +38,15 @@ def _seeded_rng(seed: int, *labels: int | str) -> random.Random:
     return random.Random(int.from_bytes(hashlib.sha256(key).digest()[:8], "big"))
 
 
-def random_digit_string(rng: random.Random, max_digits: int, min_digits: int = 1) -> DigitString:
-    """Uniform-length random digit string with a non-zero leading digit."""
-    length = rng.randint(min_digits, max_digits)
+def _random_digits(rng: random.Random, length: int) -> DigitString:
+    """Random digit string of exactly ``length`` digits, the leading one non-zero."""
     digits = [rng.randint(1, 9)] + [rng.randint(0, 9) for _ in range(length - 1)]
     return DigitString(tuple(digits))
+
+
+def random_digit_string(rng: random.Random, max_digits: int, min_digits: int = 1) -> DigitString:
+    """Uniform-length random digit string with a non-zero leading digit."""
+    return _random_digits(rng, rng.randint(min_digits, max_digits))
 
 
 def verify_mul_equivalence(
@@ -77,6 +81,14 @@ def _mul_check(violations: list, a: DigitString, b: DigitString) -> int:
     return len(MUL_METHODS)
 
 
+def _mul_single_check(violations: list, a: DigitString, c: int) -> int:
+    product, _ = wedge_mul_single(a, c)
+    expected = o_mul(Nat.from_digits(a.digits), Nat.from_int(c))
+    if str(product) != str(expected):
+        violations.append(((int(a), c), expected.to_int(), int(product)))
+    return 1
+
+
 def _mul_box(limit: int) -> LawReport:
     violations: list = []
     count = 0
@@ -86,11 +98,7 @@ def _mul_box(limit: int) -> LawReport:
             b = DigitString.from_int(bv)
             count += _mul_check(violations, a, b)
         for c in range(10):
-            count += 1
-            product, _ = wedge_mul_single(a, c)
-            expected = o_mul(Nat.from_int(av), Nat.from_int(c))
-            if str(product) != str(expected):
-                violations.append(((av, c), expected.to_int(), int(product)))
+            count += _mul_single_check(violations, a, c)
     return LawReport("mul-equiv-exhaustive", count, tuple(violations), f"all pairs below {limit}")
 
 
@@ -118,12 +126,7 @@ def _mul_random(random_pairs: int, max_digits: int, seed: int) -> LawReport:
         a = random_digit_string(rng, max_digits)
         b = random_digit_string(rng, max_digits)
         count += _mul_check(violations, a, b)
-        count += 1
-        c = rng.randint(0, 9)
-        product, _ = wedge_mul_single(a, c)
-        expected = o_mul(Nat.from_digits(a.digits), Nat.from_int(c))
-        if str(product) != str(expected):
-            violations.append(((int(a), c), expected.to_int(), int(product)))
+        count += _mul_single_check(violations, a, rng.randint(0, 9))
     return LawReport(
         "mul-equiv-random", count, tuple(violations), f"{random_pairs} pairs up to {max_digits} digits"
     )

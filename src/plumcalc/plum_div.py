@@ -181,6 +181,19 @@ def divmod(a: DigitString, b: DigitString, method: str = "plum") -> tuple[DigitS
     return quotient, remainder, trace
 
 
+def _scale(a: DigitString, decimals: int) -> DigitString:
+    """``a * 10**decimals`` by appending zero digits."""
+    return a if a.is_zero else DigitString(a.digits + (0,) * decimals)
+
+
+def _point_text(quotient: str, decimals: int) -> str:
+    """Quotient digits of a scaled division, with the point put back ``decimals`` from the end."""
+    if not decimals:
+        return quotient
+    text = quotient.zfill(decimals + 1)
+    return f"{text[:-decimals]}.{text[-decimals:]}"
+
+
 def div_decimal(
     a: DigitString, b: DigitString, decimals: int, method: str = "plum"
 ) -> tuple[str, DigitString, DivisionTrace]:
@@ -192,18 +205,5 @@ def div_decimal(
     """
     if decimals < 0:
         raise ValueError(f"decimal places must be non-negative, got {decimals}")
-    if b.is_zero:
-        raise ZeroDivisionError("division by zero")
-    if decimals == 0:
-        q, r, trace = divmod(a, b, method)
-        return str(q), r, trace
-    scaled = DigitString((0,)) if a.is_zero else DigitString(a.digits + (0,) * decimals)
-    q, r, trace = divmod(scaled, b, method)
-    text = str(q).zfill(decimals + 1)
-    text = f"{text[:-decimals]}.{text[-decimals:]}"
-    return text, r, trace
-
-
-def divide(a: DigitString, b: DigitString, method: str = "plum") -> tuple[DigitString, DigitString, DivisionTrace]:
-    """Alias for :func:`divmod` that leaves the builtin name untouched at call sites."""
-    return divmod(a, b, method)
+    q, r, trace = divmod(_scale(a, decimals), b, method)
+    return _point_text(str(q), decimals), r, trace

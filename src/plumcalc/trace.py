@@ -38,22 +38,25 @@ def _symbols(ascii_only: bool) -> tuple[str, str, str]:
     return "♣", "⋈", "×"
 
 
-def _mul_term_text(term: Term, trace: MulTrace, ascii_only: bool) -> str:
-    club, bowtie, times = _symbols(ascii_only)
+def _operands(trace: MulTrace) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The two sequences a trace's term indices point into."""
+    if trace.product.is_zero:
+        return (), ()  # no terms, and a zero product's segment length is never checked
     if trace.method == "cross":
         # term indices follow the internal orientation: longer operand first
         sa = segment(trace.a, trace.radix_power).segments
         sb = segment(trace.b, trace.radix_power).segments
-        if len(sa) < len(sb):
-            sa, sb = sb, sa
-        return f"{sa[term.i]}{times}{sb[term.j]}={term.value}"
-    a_digits = trace.a.digits
-    b_digits = trace.b.digits
+        return (sa, sb) if len(sa) >= len(sb) else (sb, sa)
+    if trace.method in ("wedge", "wedge_single"):
+        return (0,) + trace.a.digits + (0,), trace.b.digits
+    return trace.a.digits, trace.b.digits
+
+
+def _mul_term_text(term: Term, xs: tuple[int, ...], ys: tuple[int, ...], symbols: tuple[str, str, str]) -> str:
+    club, bowtie, times = symbols
+    x, y = xs[term.i], ys[term.j]
     if term.kind == "wedge":
-        padded = (0,) + a_digits + (0,)
-        pair = f"{padded[term.i]}{padded[term.i + 1]}"
-        return f"{pair}{bowtie}{b_digits[term.j]}={term.value}"
-    x, y = a_digits[term.i], b_digits[term.j]
+        return f"{x}{xs[term.i + 1]}{bowtie}{y}={term.value}"
     if term.kind == "residue":
         return f"{x}{club}{y}={term.value}"
     if term.kind == "carry":
@@ -67,14 +70,15 @@ def _mul_term_text(term: Term, trace: MulTrace, ascii_only: bool) -> str:
 
 def render_mul(trace: MulTrace, ascii_only: bool = False) -> RenderedTrace:
     """One line per column, then the signed column tuple, then the product."""
-    _, _, times = _symbols(ascii_only)
-    header = f"{trace.a} {times} {trace.b}  [{trace.method}]"
+    symbols = _symbols(ascii_only)
+    xs, ys = _operands(trace)
+    header = f"{trace.a} {symbols[2]} {trace.b}  [{trace.method}]"
     if trace.radix_power > 1:
         header += f" (segments of {trace.radix_power})"
     lines = [header]
     for k, column in enumerate(trace.columns):
         if column.terms:
-            body = ", ".join(_mul_term_text(t, trace, ascii_only) for t in column.terms)
+            body = ", ".join(_mul_term_text(t, xs, ys, symbols) for t in column.terms)
         else:
             body = "0"
         lines.append(f"  col {k}: {body} = {column.total}")

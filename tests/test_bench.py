@@ -55,16 +55,14 @@ def test_bench_rejects_bad_config():
 
 
 def test_oracle_gate_aborts_on_mismatch(monkeypatch):
-    import plumcalc.bench as bench_mod
-    from plumcalc.cross_mul import plum_mul
+    from plumcalc.cross_mul import MUL_METHODS, plum_mul
+    from plumcalc.digit_string import DigitString
 
-    def broken(method, a, b):
+    def broken(a, b):
         product, trace = plum_mul(a, b)
-        from plumcalc.digit_string import DigitString
-
         return DigitString((9,)), trace
 
-    monkeypatch.setattr(bench_mod, "_run_method", broken)
+    monkeypatch.setitem(MUL_METHODS, "plum", broken)
     with pytest.raises(RuntimeError, match="oracle mismatch"):
         run_bench(sizes=[3], trials=1, seed=0, methods=["plum"])
 
@@ -90,3 +88,20 @@ def test_csv_deterministic_except_elapsed():
     b = run_bench(sizes=[2, 4], trials=3, seed=11)
     assert stable(a) == stable(b)
     assert set(BENCH_METHODS) == {m.method for m in a}
+
+
+def test_csv_counts_pinned():
+    # counts of a fixed configuration; a change to the operand stream or to any
+    # counting rule shows up here, which a same-run comparison cannot catch
+    rows = metrics_to_csv(run_bench(sizes=[4, 8], trials=3, seed=11)).splitlines()
+    assert [",".join(r.split(",")[:-1]) for r in rows] == [
+        "method,size,trials,mul_count,carry_count,max_abs_col,mean_abs_col",
+        "cross,4,3,48,16,121,40.476190",
+        "cross,8,3,192,42,288,87.688889",
+        "plum,4,3,90,13,21,7.047619",
+        "plum,8,3,378,26,44,7.200000",
+        "wedge,4,3,120,15,10,4.208333",
+        "wedge,8,3,432,24,23,5.729167",
+        "wedge_single,4,3,30,3,5,2.600000",
+        "wedge_single,8,3,54,14,6,2.629630",
+    ]

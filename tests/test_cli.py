@@ -101,6 +101,22 @@ def test_div_plain_and_decimal(capsys):
     assert (code, out) == (0, "153.89 r 359\n")
 
 
+def test_mul_accepts_numerals_past_int_string_limit(capsys):
+    code, out, _ = run(capsys, "mul", "9" * 5000, "3")
+    assert (code, out) == (0, "2" + "9" * 4999 + "7\n")
+
+
+def test_oracle_decimal_division_matches_plum_on_long_dividend(capsys):
+    outputs = []
+    for method in ("oracle", "plum"):
+        code, out, _ = run(capsys, "div", "7" * 4000, "3", "--method", method, "--decimals", "400")
+        assert code == 0
+        outputs.append(out.splitlines()[-1])
+    assert outputs[0] == outputs[1]
+    whole, point = outputs[0].split(" r ")[0].split(".")
+    assert whole.startswith("259259") and len(whole) == 4000 and len(point) == 400
+
+
 def test_div_trace(capsys):
     code, out, _ = run(capsys, "div", "242558", "697", "--method", "wedge", "--trace")
     assert code == 0

@@ -10,11 +10,10 @@ from plumcalc.cross_mul import (
     cross_sum,
     plum_mul,
     rapid_mul,
-    rapid_mul_columns,
     wedge_mul,
     wedge_mul_single,
 )
-from plumcalc.digit_string import DigitString, normalize, parse, segment
+from plumcalc.digit_string import DigitString, normalize, parse
 
 
 def ds(value: int) -> DigitString:
@@ -35,37 +34,32 @@ def test_cross_sum_rejects_bad_shapes():
 
 
 def test_rapid_columns_123_456():
-    cols = rapid_mul_columns(segment(ds(123), 1), segment(ds(456), 1))
+    cols = rapid_mul(ds(123), ds(456))[1].signed
     assert cols.columns == (4, 13, 28, 27, 18)
     assert str(normalize(cols)) == "56088"
 
 
 def test_rapid_columns_segmented():
-    cols = rapid_mul_columns(segment(ds(2976), 2), segment(ds(2924), 2))
+    cols = rapid_mul(ds(2976), ds(2924), 2)[1].signed
     assert cols.columns == (841, 2900, 1824)
     assert str(normalize(cols, 2)) == "8701824"
 
 
 def test_rapid_columns_identity_multiplier():
-    cols = rapid_mul_columns(segment(ds(90210), 1), segment(ds(1), 1))
+    cols = rapid_mul(ds(90210), ds(1))[1].signed
     assert cols.columns == (9, 0, 2, 1, 0)
 
 
 def test_rapid_columns_swaps_shorter_first_operand():
-    a = rapid_mul_columns(segment(ds(12), 1), segment(ds(345), 1))
-    b = rapid_mul_columns(segment(ds(345), 1), segment(ds(12), 1))
+    a = rapid_mul(ds(12), ds(345))[1].signed
+    b = rapid_mul(ds(345), ds(12))[1].signed
     assert a == b
     assert len(a.columns) == 4  # m + n - 1
 
 
-def test_rapid_columns_rejects_mixed_lengths():
-    with pytest.raises(ValueError):
-        rapid_mul_columns(segment(ds(12), 1), segment(ds(345), 2))
-
-
 def test_segment_invariance():
     for length in (1, 2, 3):
-        cols = rapid_mul_columns(segment(ds(987654), length), segment(ds(321), length))
+        cols = rapid_mul(ds(987654), ds(321), length)[1].signed
         assert int(normalize(cols, length)) == 987654 * 321
 
 

@@ -187,6 +187,3 @@ def test_div_decimal_rejects_bad_arguments():
     with pytest.raises(ZeroDivisionError):
         div_decimal(ds(1), ds(0), 2)
 
-
-def test_divide_alias():
-    assert plum_div.divide(ds(100), ds(7))[0] == ds(14)
