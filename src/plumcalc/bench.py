@@ -1,8 +1,10 @@
 """Deterministic micro-benchmark harness for the multiplication methods.
 
-Counts are derived from the trace each method already produces, so two runs
-with the same seed and configuration emit identical metrics; only the elapsed
-wall time differs.  Every trial's result is checked against the schoolbook
+Counts are derived from the trace each method returns, so two runs with the
+same seed and configuration emit identical metrics; only the elapsed wall time
+differs.  ``elapsed_ns`` times the multiplication call alone (column kernel and
+``normalize``): the trace's term breakdown is built on first read, after the
+timed call, when the counts below read it.  Every trial's result is checked against the schoolbook
 oracle before any metric for it is recorded — a mismatch aborts the run.
 
 Counting rules (fixed, documented here so the CSV is comparable across runs):

@@ -17,7 +17,7 @@ from . import bench as bench_mod
 from . import plum_div
 from .cross_mul import MUL_METHODS, rapid_mul
 from .digit_core import LAW_SUITES, LawReport, carry, clubsuit, verify_laws, wedge, wedge_table
-from .digit_string import parse
+from .digit_string import DigitString, parse
 from .equivalence import (
     DEFAULT_EXHAUSTIVE_LIMIT,
     verify_div_equivalence,
@@ -111,7 +111,8 @@ def _cmd_club(args: argparse.Namespace) -> int:
 
 
 def _cmd_carry(args: argparse.Namespace) -> int:
-    print(carry(_int_arg(args.a), _int_arg(args.b)))
+    # a carry of non-negative numerals is non-negative and may be operand-sized
+    print(DigitString.from_int(carry(_int_arg(args.a), _int_arg(args.b))))
     return EXIT_OK
 
 

@@ -3,7 +3,8 @@
 All three methods build the same kind of intermediate: a signed column
 sequence whose value already equals the product, which :func:`normalize`
 then resolves into canonical digits.  Each method also returns a
-:class:`MulTrace` recording every term that went into every column.
+:class:`MulTrace`; the terms that went into every column are built from the
+operands only when :attr:`MulTrace.columns` is first read.
 
 Column conventions, 0-indexed from the most significant end:
 
@@ -16,14 +17,26 @@ Column conventions, 0-indexed from the most significant end:
 * wedge: the multiplicand is padded with one zero on each end and column
   ``k`` sums ``(pad[i], pad[i+1]) ⋈ b[j]`` over ``i+j == k``; each wedge term
   already contains its neighbour's carry, so no separate J terms appear.
+
+The kernel computes columns without visiting digit pairs one by one.  With
+``P[k] = sum(a[i]*b[j])`` and ``C[k] = sum(J(a[i] ♣ b[j]))`` over ``i+j == k``,
+``a ♣ c == a*c - 10*J(a ♣ c)`` makes the residue sums ``P[k] - 10*C[k]``, so a
+wedge column is ``P[k-1] - 10*C[k-1] + C[k]`` and a plum column is the wedge
+column one place lower, with the leading and trailing products as fixed
+corrections.  ``P`` is one convolution and ``C`` is one convolution per
+distinct multiplier digit; each convolution is a single big-integer product
+of operands packed one value per fixed-width byte slot (Kronecker
+substitution), and every slot stays non-negative because no residue is packed.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple
+from functools import cached_property
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .digit_core import carry, clubsuit, wedge
+from .digit_core import _CARRY10, carry, clubsuit, wedge
 from .digit_string import (
     DigitString,
     SignedDigitString,
@@ -71,15 +84,25 @@ class ColumnBreakdown:
 
 @dataclass(frozen=True)
 class MulTrace:
-    """Full record of one multiplication: columns, signed tuple, final digits."""
+    """Record of one multiplication: signed columns and final digits.
+
+    The per-column terms are rebuilt from the operands when :attr:`columns`
+    is first read; their totals equal ``signed.columns``.
+    """
 
     method: str
     a: DigitString
     b: DigitString
     radix_power: int
-    columns: tuple[ColumnBreakdown, ...]
     signed: SignedDigitString
     product: DigitString
+
+    @cached_property
+    def columns(self) -> tuple[ColumnBreakdown, ...]:
+        """Every column's terms, most significant column first."""
+        return tuple(
+            ColumnBreakdown(tuple(terms), sum(t.value for t in terms)) for terms in _column_terms(self)
+        )
 
     def column_value(self) -> int:
         """Value of the pre-normalization columns in radix ``10**radix_power``."""
@@ -95,24 +118,114 @@ def cross_sum(xs: list[int] | tuple[int, ...], ys: list[int] | tuple[int, ...]) 
     return sum(x * y for x, y in zip(xs, reversed(ys)))
 
 
-def _assemble(
-    method: str, a: DigitString, b: DigitString, radix_power: int, column_terms: Iterable[list[Term]]
-) -> tuple[DigitString, MulTrace]:
-    """Sum each column's terms, normalize the signed columns, and record the trace.
+# ---------------------------------------------------------------------------
+# Column kernel
 
-    ``column_terms`` gives one term list per column, most significant first.
-    It is read one column at a time, so each list is summed while its terms
-    are fresh and is dropped once its breakdown is built.
+_NATIVE_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"} if sys.byteorder == "little" else {}
+
+# ``_CARRY_BYTES[d]`` maps a digit byte x to J(x ♣ d); ``_INDICATOR_BYTES[d]``
+# maps the byte d to 1 and every other byte to 0.  Both map 0 to 0 for d > 0,
+# so they can be applied to already spread slots.
+_CARRY_BYTES = tuple(bytes(_CARRY10[x][d] for x in range(10)) + bytes(246) for d in range(10))
+_INDICATOR_BYTES = tuple(bytes(d) + b"\x01" + bytes(255 - d) for d in range(10))
+
+
+def _slot_width(bound: int) -> int:
+    """Bytes per packed slot for values up to ``bound``; 1, 2, 4 or 8 when they suffice."""
+    need = max(1, (bound.bit_length() + 7) // 8)
+    return next((w for w in (1, 2, 4, 8) if w >= need), need)
+
+
+def _slots(values: Sequence[int], width: int) -> bytes | bytearray:
+    """Kronecker layout: ``values[i]`` little-endian in bytes ``[i*width, (i+1)*width)``."""
+    if max(values) > 255:
+        return b"".join(v.to_bytes(width, "little") for v in values)
+    raw = bytes(values)
+    if width == 1:
+        return raw
+    spread = bytearray(len(raw) * width)
+    spread[::width] = raw
+    return spread
+
+
+def _unslot(packed: int, count: int, width: int) -> list[int]:
+    """Inverse of :func:`_slots` for ``count`` non-negative slots of a packed product."""
+    raw = packed.to_bytes(count * width, "little")
+    if width in _NATIVE_FORMATS:
+        return memoryview(raw).cast(_NATIVE_FORMATS[width]).tolist()
+    return [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
+
+
+def _convolve(xs: Sequence[int], ys: Sequence[int]) -> list[int]:
+    """``sum(xs[i]*ys[j] for i+j == k)`` for every ``k``, by one packed product."""
+    width = _slot_width(max(xs) * max(ys) * min(len(xs), len(ys)))
+    packed = int.from_bytes(_slots(xs, width), "little") * int.from_bytes(_slots(ys, width), "little")
+    return _unslot(packed, len(xs) + len(ys) - 1, width)
+
+
+def _carry_convolve(xs: tuple[int, ...], ys: tuple[int, ...]) -> list[int]:
+    """``sum(J(xs[i] ♣ ys[j]) for i+j == k)`` for every ``k``, split by multiplier digit.
+
+    For each distinct non-zero digit ``d`` of ``ys`` the carries of ``xs``
+    against ``d`` are convolved with the positions where ``ys`` holds ``d``;
+    the packed products are summed before one unpacking.
     """
-    breakdowns = []
-    totals = []
-    for terms in column_terms:
-        total = sum(t.value for t in terms)
-        breakdowns.append(ColumnBreakdown(tuple(terms), total))
-        totals.append(total)
-    signed = SignedDigitString(tuple(totals))
+    width = _slot_width(8 * min(len(xs), len(ys)))
+    spread_x, spread_y = _slots(xs, width), _slots(ys, width)
+    packed = 0
+    for d in set(ys) - {0}:
+        packed += int.from_bytes(spread_x.translate(_CARRY_BYTES[d]), "little") * int.from_bytes(
+            spread_y.translate(_INDICATOR_BYTES[d]), "little"
+        )
+    return _unslot(packed, len(xs) + len(ys) - 1, width)
+
+
+def _wedge_columns(xs: tuple[int, ...], ys: tuple[int, ...]) -> list[int]:
+    """Wedge columns ``P[k-1] - 10*C[k-1] + C[k]`` for ``k`` in ``0..m+n-1``."""
+    products, carries = _convolve(xs, ys), _carry_convolve(xs, ys)
+    return [p - 10 * c + c_next for p, c, c_next in zip([0, *products], [0, *carries], [*carries, 0])]
+
+
+def _plum_columns(xs: tuple[int, ...], ys: tuple[int, ...]) -> list[int]:
+    """Wedge columns one place lower, with the whole leading and split trailing products."""
+    if len(xs) == len(ys) == 1:
+        return [xs[0] * ys[0]]
+    columns = _wedge_columns(xs, ys)[1:]
+    columns[0] += 10 * carry(xs[0], ys[0])
+    trailing = xs[-1] * ys[-1]
+    columns[-2] += trailing // 10 - carry(xs[-1], ys[-1])
+    columns[-1] += trailing % 10 - clubsuit(xs[-1], ys[-1])
+    return columns
+
+
+def _cross_operands(a: DigitString, b: DigitString, seg_len: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Segments of both operands, the one with more segments first."""
+    sa, sb = segment(a, seg_len).segments, segment(b, seg_len).segments
+    return (sa, sb) if len(sa) >= len(sb) else (sb, sa)
+
+
+def _finish(
+    method: str, a: DigitString, b: DigitString, radix_power: int, columns: Iterable[int]
+) -> tuple[DigitString, MulTrace]:
+    """Normalize the signed columns and record the trace."""
+    signed = SignedDigitString(tuple(columns))
     product = normalize(signed, radix_power)
-    return product, MulTrace(method, a, b, radix_power, tuple(breakdowns), signed, product)
+    return product, MulTrace(method, a, b, radix_power, signed, product)
+
+
+# ---------------------------------------------------------------------------
+# Trace terms, generated when ``MulTrace.columns`` is read
+
+
+def _column_terms(trace: MulTrace) -> Iterable[list[Term]]:
+    """One term list per column of ``trace``, most significant first."""
+    if trace.a.is_zero or trace.b.is_zero:
+        return [[]]
+    if trace.method == "cross":
+        return _cross_terms(*_cross_operands(trace.a, trace.b, trace.radix_power))
+    if trace.method == "plum":
+        return _plum_terms(trace.a.digits, trace.b.digits)
+    return _wedge_terms(trace.a.digits, trace.b.digits)
 
 
 def _cross_terms(xs: tuple[int, ...], ys: tuple[int, ...]) -> Iterator[list[Term]]:
@@ -123,20 +236,6 @@ def _cross_terms(xs: tuple[int, ...], ys: tuple[int, ...]) -> Iterator[list[Term
             j = k - i
             terms.append(Term("product", i, j, xs[i] * ys[j]))
         yield terms
-
-
-def rapid_mul(a: DigitString, b: DigitString, seg_len: int = 1) -> tuple[DigitString, MulTrace]:
-    """Plain rapid multiplication via cross product sums over segments.
-
-    The operand with more segments plays the multiplicand, so the result has
-    ``m + n - 1`` columns in radix ``10**seg_len`` whatever the argument order.
-    """
-    if a.is_zero or b.is_zero:
-        return _assemble("cross", a, b, seg_len, [[]])
-    sa, sb = segment(a, seg_len).segments, segment(b, seg_len).segments
-    if len(sa) < len(sb):
-        sa, sb = sb, sa
-    return _assemble("cross", a, b, seg_len, _cross_terms(sa, sb))
 
 
 def _plum_terms(A: tuple[int, ...], B: tuple[int, ...]) -> Iterator[list[Term]]:
@@ -168,19 +267,6 @@ def _plum_terms(A: tuple[int, ...], B: tuple[int, ...]) -> Iterator[list[Term]]:
         yield terms
 
 
-def plum_mul(a: DigitString, b: DigitString) -> tuple[DigitString, MulTrace]:
-    """Multiplication by plum products: residues in place, carries shifted up.
-
-    The leading column keeps ``a[0]*b[0]`` whole and the trailing column keeps
-    the plain ones digit of the last product (its tens joining the column
-    above), matching the worked column layouts; every other product appears as
-    a residue term plus a carry term one column up.
-    """
-    if a.is_zero or b.is_zero:
-        return _assemble("plum", a, b, 1, [[]])
-    return _assemble("plum", a, b, 1, _plum_terms(a.digits, b.digits))
-
-
 def _wedge_terms(A: tuple[int, ...], B: tuple[int, ...]) -> Iterator[list[Term]]:
     m, n = len(A), len(B)
     padded = (0,) + A + (0,)
@@ -190,6 +276,34 @@ def _wedge_terms(A: tuple[int, ...], B: tuple[int, ...]) -> Iterator[list[Term]]
             j = k - i
             terms.append(Term("wedge", i, j, wedge(padded[i], padded[i + 1], B[j])))
         yield terms
+
+
+# ---------------------------------------------------------------------------
+# Public methods
+
+
+def rapid_mul(a: DigitString, b: DigitString, seg_len: int = 1) -> tuple[DigitString, MulTrace]:
+    """Plain rapid multiplication via cross product sums over segments.
+
+    The operand with more segments plays the multiplicand, so the result has
+    ``m + n - 1`` columns in radix ``10**seg_len`` whatever the argument order.
+    """
+    if a.is_zero or b.is_zero:
+        return _finish("cross", a, b, seg_len, [0])
+    return _finish("cross", a, b, seg_len, _convolve(*_cross_operands(a, b, seg_len)))
+
+
+def plum_mul(a: DigitString, b: DigitString) -> tuple[DigitString, MulTrace]:
+    """Multiplication by plum products: residues in place, carries shifted up.
+
+    The leading column keeps ``a[0]*b[0]`` whole and the trailing column keeps
+    the plain ones digit of the last product (its tens joining the column
+    above), matching the worked column layouts; every other product appears as
+    a residue term plus a carry term one column up.
+    """
+    if a.is_zero or b.is_zero:
+        return _finish("plum", a, b, 1, [0])
+    return _finish("plum", a, b, 1, _plum_columns(a.digits, b.digits))
 
 
 def wedge_mul_single(a: DigitString, c: int) -> tuple[DigitString, MulTrace]:
@@ -203,8 +317,8 @@ def wedge_mul_single(a: DigitString, c: int) -> tuple[DigitString, MulTrace]:
         raise ValueError(f"multiplier must be a digit in 0..9, got {c}")
     b = DigitString((c,))
     if a.is_zero or c == 0:
-        return _assemble("wedge_single", a, b, 1, [[]])
-    return _assemble("wedge_single", a, b, 1, _wedge_terms(a.digits, b.digits))
+        return _finish("wedge_single", a, b, 1, [0])
+    return _finish("wedge_single", a, b, 1, _wedge_columns(a.digits, b.digits))
 
 
 def wedge_mul(a: DigitString, b: DigitString) -> tuple[DigitString, MulTrace]:
@@ -215,8 +329,8 @@ def wedge_mul(a: DigitString, b: DigitString) -> tuple[DigitString, MulTrace]:
     for ``len(a) + len(b)`` columns in total.
     """
     if a.is_zero or b.is_zero:
-        return _assemble("wedge", a, b, 1, [[]])
-    return _assemble("wedge", a, b, 1, _wedge_terms(a.digits, b.digits))
+        return _finish("wedge", a, b, 1, [0])
+    return _finish("wedge", a, b, 1, _wedge_columns(a.digits, b.digits))
 
 
 MUL_METHODS: dict[str, Callable[[DigitString, DigitString], tuple[DigitString, MulTrace]]] = {

@@ -24,6 +24,7 @@ __all__ = [
 ]
 
 _GROUP_SEPARATORS = " _"
+_SPLIT_ABOVE = 10**64
 
 
 def _horner(values: Iterable[int], radix: int) -> int:
@@ -32,6 +33,28 @@ def _horner(values: Iterable[int], radix: int) -> int:
     for v in values:
         total = total * radix + v
     return total
+
+
+def _decimal_digits(value: int, count: int = 1) -> list[int]:
+    """Decimal digits of ``value >= 0``, most significant first, zero-padded to ``count``.
+
+    Values past 64 digits split in halves by one division each, so no step
+    converts an operand-sized integer to a string.
+    """
+    if value < _SPLIT_ABOVE:
+        digits = []
+        while True:
+            value, d = divmod(value, 10)
+            digits.append(d)
+            if not value:
+                break
+        digits.extend([0] * (count - len(digits)))
+        digits.reverse()
+        return digits
+    # 0.31 > log10(2), so ``half`` is about half the digit count and leaves ``high`` non-zero
+    half = (value.bit_length() * 31 // 100 + 1) // 2
+    high, low = divmod(value, 10**half)
+    return _decimal_digits(high, count - half) + _decimal_digits(low, half)
 
 
 @dataclass(frozen=True)
@@ -43,7 +66,7 @@ class DigitString:
     def __post_init__(self) -> None:
         if not self.digits:
             raise ValueError("digit string must not be empty")
-        if any(not 0 <= d <= 9 for d in self.digits):
+        if min(self.digits) < 0 or max(self.digits) > 9:
             raise ValueError(f"digits must lie in 0..9: {self.digits}")
         if len(self.digits) > 1 and self.digits[0] == 0:
             raise ValueError(f"leading zero in digit string: {self.digits}")
@@ -52,7 +75,7 @@ class DigitString:
     def from_int(cls, value: int) -> DigitString:
         if value < 0:
             raise ValueError(f"digit strings represent non-negative integers, got {value}")
-        return cls(tuple(int(ch) for ch in str(value)))
+        return cls(tuple(_decimal_digits(value)))
 
     def __int__(self) -> int:
         return _horner(self.digits, 10)
@@ -104,7 +127,7 @@ class SegmentString:
         if self.length < 1:
             raise ValueError(f"segment length must be positive, got {self.length}")
         bound = 10**self.length
-        if any(not 0 <= s < bound for s in self.segments):
+        if self.segments and (min(self.segments) < 0 or max(self.segments) >= bound):
             raise ValueError(f"segments must lie in 0..{bound - 1}: {self.segments}")
 
     def __len__(self) -> int:
@@ -131,6 +154,8 @@ def segment(ds: DigitString, length: int) -> SegmentString:
     if length < 1:
         raise ValueError(f"segment length must be positive, got {length}")
     digits = ds.digits
+    if length == 1:
+        return SegmentString(length=1, segments=digits)
     pad = (-len(digits)) % length
     padded = (0,) * pad + digits
     segments = tuple(_horner(padded[i : i + length], 10) for i in range(0, len(padded), length))
@@ -153,26 +178,23 @@ def normalize_stats(s: SignedDigitString, radix_power: int = 1) -> tuple[DigitSt
     if radix_power < 1:
         raise ValueError(f"radix power must be positive, got {radix_power}")
     radix = 10**radix_power
-    digits: list[int] = []  # least significant first
+    limbs: list[int] = []  # least significant first
     carry = 0
     carries = 0
     for column in reversed(s.columns):
         carry, limb = divmod(column + carry, radix)
-        if carry != 0:
+        limbs.append(limb)
+        if carry:
             carries += 1
-        for _ in range(radix_power):
-            limb, d = divmod(limb, 10)
-            digits.append(d)
     if carry < 0:
         raise ValueError("signed digit string has negative total value")
-    while carry:
-        carry, d = divmod(carry, 10)
-        digits.append(d)
+    limbs.reverse()
+    if radix_power > 1:
+        limbs = [d for limb in limbs for d in _decimal_digits(limb, radix_power)]
+    digits = tuple(_decimal_digits(carry) + limbs)
     # strip to canonical form
-    while len(digits) > 1 and digits[-1] == 0:
-        digits.pop()
-    digits.reverse()
-    return DigitString(tuple(digits) or (0,)), carries
+    first = next((i for i, d in enumerate(digits) if d), len(digits) - 1)
+    return DigitString(digits[first:]), carries
 
 
 def normalize(s: SignedDigitString, radix_power: int = 1) -> DigitString:

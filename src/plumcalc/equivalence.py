@@ -3,8 +3,8 @@
 The sweeps are exhaustive on a small-operand box plus one-sided sweeps over
 all four-digit values, then seeded random pairs up to 64 digits.  The default
 box keeps an exhaustive all-pairs run affordable; the bound can be raised via
-the ``limit`` arguments (the CLI and acceptance suite expose it through the
-``PLUMCALC_EXHAUSTIVE_LIMIT`` environment variable).
+the ``limit`` arguments (``plumcalc verify --limit``; the acceptance suite
+reads it from the ``PLUMCALC_EXHAUSTIVE_LIMIT`` environment variable).
 """
 
 from __future__ import annotations

@@ -174,7 +174,9 @@ def divmod(a: DigitString, b: DigitString, method: str = "plum") -> tuple[DigitS
         steps.append(DivisionStep(n, digit, interim, p0, terms0, after0, c_n, p1, terms1, r_n))
         r = r_n
     if r != r_nat.to_int():
-        raise RuntimeError(f"partial remainder chain diverged: {r} vs {r_nat.to_int()}")
+        raise RuntimeError(
+            f"{method} division of {a} by {b}: partial remainder chain diverged: {r} vs {r_nat.to_int()}"
+        )
     quotient = DigitString(q_nat.to_digits())
     remainder = DigitString(r_nat.to_digits())
     trace = DivisionTrace(method, a, b, quotient, c, tuple(steps), remainder)

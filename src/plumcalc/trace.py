@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cross_mul import MulTrace, Term
-from .digit_string import segment
+from .cross_mul import MulTrace, Term, _cross_operands
 from .plum_div import DivisionTrace
 
 __all__ = ["RenderedTrace", "render_mul", "render_div"]
@@ -44,9 +43,7 @@ def _operands(trace: MulTrace) -> tuple[tuple[int, ...], tuple[int, ...]]:
         return (), ()  # no terms, and a zero product's segment length is never checked
     if trace.method == "cross":
         # term indices follow the internal orientation: longer operand first
-        sa = segment(trace.a, trace.radix_power).segments
-        sb = segment(trace.b, trace.radix_power).segments
-        return (sa, sb) if len(sa) >= len(sb) else (sb, sa)
+        return _cross_operands(trace.a, trace.b, trace.radix_power)
     if trace.method in ("wedge", "wedge_single"):
         return (0,) + trace.a.digits + (0,), trace.b.digits
     return trace.a.digits, trace.b.digits

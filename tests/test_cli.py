@@ -23,6 +23,11 @@ def test_carry(capsys):
     assert (code, out) == (0, "4\n")
 
 
+def test_carry_accepts_numerals_past_int_string_limit(capsys):
+    code, out, _ = run(capsys, "carry", "9" * 5000, "3")
+    assert (code, out) == (0, "3" + "0" * 4999 + "\n")
+
+
 def test_wedge_two_digit_pair(capsys):
     code, out, _ = run(capsys, "wedge", "35", "7")
     assert (code, out) == (0, "5\n")

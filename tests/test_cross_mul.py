@@ -2,18 +2,23 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plumcalc.bench import metrics_to_csv, run_bench
 from plumcalc.cross_mul import (
+    MUL_METHODS,
     cross_sum,
     plum_mul,
     rapid_mul,
     wedge_mul,
     wedge_mul_single,
 )
-from plumcalc.digit_string import DigitString, normalize, parse
+from plumcalc.digit_string import DigitString, normalize, parse, segment
+from plumcalc.trace import render_mul
 
 
 def ds(value: int) -> DigitString:
@@ -177,3 +182,165 @@ def test_column_counts():
     assert len(trace.signed.columns) == 5 + 3 - 1
     _, trace = wedge_mul_single(ds(12345), 7)
     assert len(trace.signed.columns) == 5 + 1
+
+
+# --- column kernel: packed products against the term-by-term trace ---------
+
+
+def _numeral(length: int, alphabet: str, seed: int) -> int:
+    rng = random.Random(seed)
+    return int("".join(rng.choice(alphabet) for _ in range(length)))
+
+
+def numerals(max_digits: int):
+    """Integers of up to ``max_digits`` digits, some drawn from runs of zeros and nines."""
+    return st.builds(
+        _numeral,
+        st.integers(1, max_digits),
+        st.sampled_from(("0123456789", "0123456789", "09", "9", "019")),
+        st.integers(0, 2**32 - 1),
+    )
+
+
+def all_traces(a: DigitString, b: DigitString):
+    for length in (1, 2, 3, 4):
+        yield rapid_mul(a, b, length)[1]
+    yield plum_mul(a, b)[1]
+    yield wedge_mul(a, b)[1]
+    yield wedge_mul_single(a, b[0])[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(numerals(128), numerals(128))
+def test_kernel_columns_equal_term_totals(x, y):
+    for trace in all_traces(ds(x), ds(y)):
+        assert tuple(c.total for c in trace.columns) == trace.signed.columns, trace.method
+
+
+@settings(max_examples=40, deadline=None)
+@given(numerals(2000), numerals(2000))
+def test_kernel_products_match_int_products(x, y):
+    a, b = ds(x), ds(y)
+    expected = str(x * y)
+    for method in MUL_METHODS.values():
+        assert str(method(a, b)[0]) == expected
+    for length in (2, 3, 7):
+        assert str(rapid_mul(a, b, length)[0]) == expected
+    assert str(wedge_mul_single(a, b[0])[0]) == str(x * b[0])
+
+
+def wedge_pairs(m: int, n: int, k: int) -> int:
+    """Number of (window, multiplier digit) pairs in wedge column ``k``."""
+    return min(m, k) - max(0, k - n + 1) + 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(numerals(600), numerals(600))
+def test_wedge_columns_within_pair_bounds(x, y):
+    a, b = ds(x), ds(y)
+    if a.is_zero or b.is_zero:
+        return
+    columns = wedge_mul(a, b)[1].signed.columns
+    assert len(columns) == len(a) + len(b)
+    for k, col in enumerate(columns):
+        p = wedge_pairs(len(a), len(b), k)
+        assert -6 * p <= col <= 11 * p, (k, col, p)
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        (7, 8),
+        (9, 9),
+        (1, 1),
+        (3, 10**40 + 7),
+        (10**40 + 7, 3),
+        (9, int("9" * 300)),
+        (int("9" * 300), 9),
+        (int("9" * 257), int("9" * 131)),
+        (int("9" * 40), int("9" * 32)),  # carry columns reach 8 * 32 = 256
+        (10**50, 10**20),
+        (0, int("9" * 30)),
+        (int("9" * 30), 0),
+        (0, 0),
+    ],
+    ids=lambda v: f"{len(str(v))}d",
+)
+def test_kernel_edge_shapes(x, y):
+    a, b = ds(x), ds(y)
+    for trace in all_traces(a, b):
+        assert tuple(c.total for c in trace.columns) == trace.signed.columns, trace.method
+    for method in MUL_METHODS.values():
+        assert int(method(a, b)[0]) == x * y
+
+
+@pytest.mark.parametrize("length", range(1, 13))
+def test_cross_slot_widths_across_byte_boundaries(length):
+    # all-nines segments give the largest columns; growing segment counts push
+    # the column bound (10**L - 1)**2 * count past 2**8, 2**16, 2**32 and 2**64
+    for count in (1, 2, 3, 5, 17, 40):
+        x, y = 10 ** (length * count) - 1, 10 ** (length * (count // 2 + 1)) - 1
+        product, trace = rapid_mul(ds(x), ds(y), length)
+        xs, ys = segment(ds(x), length).segments, segment(ds(y), length).segments
+        expected = tuple(
+            sum(xs[i] * ys[k - i] for i in range(len(xs)) if 0 <= k - i < len(ys))
+            for k in range(len(xs) + len(ys) - 1)
+        )
+        assert trace.signed.columns == expected
+        assert int(product) == x * y
+
+
+# --- traces are built only when read ----------------------------------------
+
+
+def test_trace_columns_are_built_only_when_read():
+    a = ds(int("31415926535897932384626433832795028841971693993751" * 40))
+    b = ds(int("27182818284590452353602874713526624977572470936999" * 40))
+    traces = [method(a, b)[1] for method in MUL_METHODS.values()] + [wedge_mul_single(a, 7)[1]]
+    for trace in traces:
+        assert len(trace.a) == 2000
+        trace.column_value()
+        assert "columns" not in trace.__dict__, trace.method
+
+    _, trace = wedge_mul(ds(348), ds(697))
+    assert "columns" not in trace.__dict__
+    assert trace.columns is trace.columns
+    assert "columns" in trace.__dict__
+
+    expected = [
+        (
+            plum_mul(ds(386), ds(47))[1],
+            "386 × 47  [plum]",
+            "  col 0: 3×4=12, J(3♣7)=2, J(8♣4)=3 = 17",
+            "  col 1: 3♣7=1, 8♣4=2, J(8♣7)=6, J(6♣4)=3 = 12",
+            "  col 2: 8♣7=-4, 6♣4=-6, tens(6×7)=4 = -6",
+            "  col 3: ones(6×7)=2 = 2",
+            "  columns: (17,12,-6,2)",
+            "  product: 18142",
+        ),
+        (
+            rapid_mul(ds(2976), ds(2924), 2)[1],
+            "2976 × 2924  [cross] (segments of 2)",
+            "  col 0: 29×29=841 = 841",
+            "  col 1: 29×24=696, 76×29=2204 = 2900",
+            "  col 2: 76×24=1824 = 1824",
+            "  columns: (841,2900,1824)",
+            "  product: 8701824",
+        ),
+        (
+            wedge_mul_single(ds(48), 7)[1],
+            "48 × 7  [wedge_single]",
+            "  col 0: 04⋈7=3 = 3",
+            "  col 1: 48⋈7=4 = 4",
+            "  col 2: 80⋈7=-4 = -4",
+            "  columns: (3,4,-4)",
+            "  product: 336",
+        ),
+    ]
+    for trace, *lines in expected:
+        assert "columns" not in trace.__dict__
+        assert render_mul(trace).lines == tuple(lines)
+
+    # the bench reads every term after its timed call
+    rows = metrics_to_csv(run_bench(sizes=[4], trials=2, seed=3)).splitlines()
+    assert all(int(row.split(",")[3]) > 0 for row in rows[1:])

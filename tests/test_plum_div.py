@@ -118,6 +118,19 @@ def test_divmod_rejects_zero_divisor():
         plum_div.divmod(ds(5), ds(3), "nope")
 
 
+def test_divergence_error_names_method_and_operands(monkeypatch):
+    real_pp1 = plum_div.pp1
+
+    def off_by_one(b, c_n):
+        value, terms = real_pp1(b, c_n)
+        return value + 1, terms
+
+    monkeypatch.setattr(plum_div, "pp1", off_by_one)
+    for method in plum_div.DIV_METHODS:
+        with pytest.raises(RuntimeError, match=f"^{method} division of 56789 by 369: partial remainder chain diverged"):
+            plum_div.divmod(ds(56789), ds(369), method)
+
+
 def test_step_recurrence_holds():
     for a, b, method in ((56789, 369, "plum"), (2728018, 3456, "plum"), (242558, 697, "wedge")):
         _, _, trace = plum_div.divmod(ds(a), ds(b), method)
