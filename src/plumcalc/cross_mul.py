@@ -140,11 +140,8 @@ def _slots(values: Sequence[int], width: int) -> bytes | bytearray:
     """Kronecker layout: ``values[i]`` little-endian in bytes ``[i*width, (i+1)*width)``."""
     if max(values) > 255:
         return b"".join(v.to_bytes(width, "little") for v in values)
-    raw = bytes(values)
-    if width == 1:
-        return raw
-    spread = bytearray(len(raw) * width)
-    spread[::width] = raw
+    spread = bytearray(len(values) * width)
+    spread[::width] = bytes(values)
     return spread
 
 

@@ -24,7 +24,6 @@ __all__ = [
 ]
 
 _GROUP_SEPARATORS = " _"
-_SPLIT_ABOVE = 10**64
 
 
 def _horner(values: Iterable[int], radix: int) -> int:
@@ -36,25 +35,16 @@ def _horner(values: Iterable[int], radix: int) -> int:
 
 
 def _decimal_digits(value: int, count: int = 1) -> list[int]:
-    """Decimal digits of ``value >= 0``, most significant first, zero-padded to ``count``.
-
-    Values past 64 digits split in halves by one division each, so no step
-    converts an operand-sized integer to a string.
-    """
-    if value < _SPLIT_ABOVE:
-        digits = []
-        while True:
-            value, d = divmod(value, 10)
-            digits.append(d)
-            if not value:
-                break
-        digits.extend([0] * (count - len(digits)))
-        digits.reverse()
-        return digits
-    # 0.31 > log10(2), so ``half`` is about half the digit count and leaves ``high`` non-zero
-    half = (value.bit_length() * 31 // 100 + 1) // 2
-    high, low = divmod(value, 10**half)
-    return _decimal_digits(high, count - half) + _decimal_digits(low, half)
+    """Decimal digits of ``value >= 0``, most significant first, zero-padded to ``count``."""
+    digits = []
+    while True:
+        value, d = divmod(value, 10)
+        digits.append(d)
+        if not value:
+            break
+    digits.extend([0] * (count - len(digits)))
+    digits.reverse()
+    return digits
 
 
 @dataclass(frozen=True)
