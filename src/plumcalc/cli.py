@@ -136,6 +136,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 def _cmd_mul(args: argparse.Namespace) -> int:
     a, b = parse(args.a), parse(args.b)
+    if args.method != "cross" and args.segment != 1:
+        raise ValueError("--segment only applies to --method cross")
     if args.method == "oracle":
         if args.trace:
             raise ValueError("--trace is not available for --method oracle")
@@ -144,8 +146,6 @@ def _cmd_mul(args: argparse.Namespace) -> int:
     if args.method == "cross":
         product, trace = rapid_mul(a, b, args.segment)
     else:
-        if args.segment != 1:
-            raise ValueError("--segment only applies to --method cross")
         product, trace = MUL_METHODS[args.method](a, b)
     if args.trace:
         print(render_mul(trace, ascii_only=args.ascii))
@@ -186,6 +186,11 @@ def _print_reports(reports: list[LawReport]) -> bool:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    # smaller values leave a sweep with no cases, which would print PASS having checked nothing
+    if args.limit < 2:
+        raise ValueError(f"--limit must be at least 2, got {args.limit}")
+    if args.random_pairs < 1:
+        raise ValueError(f"--random-pairs must be at least 1, got {args.random_pairs}")
     reports: list[LawReport] = []
     if args.suite in LAW_SUITES or args.suite == "all":
         reports.extend(verify_laws(args.suite))

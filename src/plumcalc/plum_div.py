@@ -14,20 +14,21 @@ quotient digits (``pp0``) and a part involving the digit chosen at this step
 
 The partial remainders obey ``r[n] = 10*r[n-1] + a[n] - pp0 - pp1`` and may go
 negative between steps; only the final remainder is range-checked.  Quotient
-digits are selected exactly (they are the true long-division digits, obtained
-from the schoolbook oracle), so the trace reproduces each worked vertical
-layout while termination and ``0 <= r < b`` are guaranteed.
+digits are selected exactly (they are the true long-division digits, taken
+from a running remainder that brings down one dividend digit at a time), so
+the trace reproduces each worked vertical layout while termination and
+``0 <= r < b`` are guaranteed.
 """
 
 from __future__ import annotations
 
+import builtins
 from dataclasses import dataclass
 from typing import Sequence
 
 from .cross_mul import Term
 from .digit_core import carry, clubsuit, wedge
-from .digit_string import DigitString
-from .oracle import Nat, o_divmod
+from .digit_string import DigitString, _horner
 
 __all__ = [
     "DivisionStep",
@@ -87,27 +88,16 @@ class DivisionTrace:
         return total
 
 
-def _c_at(c_so_far: Sequence[int], j: int) -> int | None:
-    """1-indexed quotient digit, or None when j is outside the chosen range."""
-    if 1 <= j <= len(c_so_far):
-        return c_so_far[j - 1]
-    return None
-
-
 def pp0_plum(b: DigitString, c_so_far: Sequence[int], n: int) -> tuple[int, tuple[Term, ...]]:
-    """Plum form of the step-``n`` partial product over earlier quotient digits."""
+    """Plum form of the step-``n`` partial product over the quotient digits before ``c[n]``."""
     if n < 1:
         raise ValueError(f"step index must be positive, got {n}")
-    t = len(b)
+    t, k = len(b), len(c_so_far)
     terms = []
-    for i in range(2, t + 1):
-        cj = _c_at(c_so_far, n + 1 - i)
-        if cj is not None:
-            terms.append(Term("residue", i - 1, n - i, clubsuit(b[i - 1], cj)))
-    for i in range(3, t + 1):
-        cj = _c_at(c_so_far, n + 2 - i)
-        if cj is not None:
-            terms.append(Term("carry", i - 1, n + 1 - i, carry(b[i - 1], cj)))
+    for i in range(max(2, n + 1 - k), min(t, n) + 1):  # quotient index n+1-i in 1..k
+        terms.append(Term("residue", i - 1, n - i, clubsuit(b[i - 1], c_so_far[n - i])))
+    for i in range(max(3, n + 2 - k), min(t, n + 1) + 1):  # quotient index n+2-i in 1..k
+        terms.append(Term("carry", i - 1, n + 1 - i, carry(b[i - 1], c_so_far[n + 1 - i])))
     return sum(term.value for term in terms), tuple(terms)
 
 
@@ -115,13 +105,11 @@ def pp0_wedge(b: DigitString, c_so_far: Sequence[int], n: int) -> tuple[int, tup
     """Wedge form of the same partial product: equal value, pairwise terms."""
     if n < 1:
         raise ValueError(f"step index must be positive, got {n}")
-    t = len(b)
+    t, k = len(b), len(c_so_far)
     terms = []
-    for i in range(2, t + 1):
-        cj = _c_at(c_so_far, n + 1 - i)
-        if cj is not None:
-            follower = b[i] if i < t else 0
-            terms.append(Term("wedge", i - 1, n - i, wedge(b[i - 1], follower, cj)))
+    for i in range(max(2, n + 1 - k), min(t, n) + 1):  # quotient index n+1-i in 1..k
+        follower = b[i] if i < t else 0
+        terms.append(Term("wedge", i - 1, n - i, wedge(b[i - 1], follower, c_so_far[n - i])))
     return sum(term.value for term in terms), tuple(terms)
 
 
@@ -141,29 +129,36 @@ _PP0 = {"plum": pp0_plum, "wedge": pp0_wedge}
 def divmod(a: DigitString, b: DigitString, method: str = "plum") -> tuple[DigitString, DigitString, DivisionTrace]:
     """Divide ``a`` by ``b``, returning quotient, remainder, and the full trace.
 
-    The quotient is zero-extended internally to ``s - t + 1`` digits (a leading
-    zero is allowed), then each dividend digit is processed in one step of the
-    partial-remainder recurrence.
+    Quotient digits come from schoolbook long division: a running remainder
+    starts as the first ``t - 1`` dividend digits and brings down one more per
+    quotient digit, so the quotient has exactly ``s - t + 1`` digits (a leading
+    zero is allowed).  Each dividend digit is then processed in one step of the
+    partial-remainder recurrence, whose final remainder must equal the running
+    one.
     """
     if method not in _PP0:
         raise ValueError(f"unknown division method {method!r}; expected one of {DIV_METHODS}")
     if b.is_zero:
         raise ZeroDivisionError("division by zero")
-    q_nat, r_nat = o_divmod(Nat.from_digits(a.digits), Nat.from_digits(b.digits))
-    if q_nat.is_zero:
+    s, t = len(a), len(b)
+    divisor = int(b)
+    window = _horner(a.digits[: t - 1], 10)
+    c = []
+    for digit in a.digits[t - 1 :]:
+        c_n, window = builtins.divmod(10 * window + digit, divisor)
+        c.append(c_n)
+    c = tuple(c)
+    if not any(c):
         quotient = DigitString((0,))
         trace = DivisionTrace(method, a, b, quotient, (), (), a)
         return quotient, a, trace
-    s, t = len(a), len(b)
-    c = q_nat.to_digits()
-    c = (0,) * (s - t + 1 - len(c)) + c
     pp0_fn = _PP0[method]
     steps = []
     r = 0
     for n in range(1, s + 1):
         digit = a[n - 1]
         interim = 10 * r + digit
-        p0, terms0 = pp0_fn(b, c[: n - 1], n)
+        p0, terms0 = pp0_fn(b, c, n)
         after0 = interim - p0
         if n <= len(c):
             c_n = c[n - 1]
@@ -173,14 +168,11 @@ def divmod(a: DigitString, b: DigitString, method: str = "plum") -> tuple[DigitS
             c_n, p1, terms1, r_n = None, None, (), after0
         steps.append(DivisionStep(n, digit, interim, p0, terms0, after0, c_n, p1, terms1, r_n))
         r = r_n
-    if r != r_nat.to_int():
-        raise RuntimeError(
-            f"{method} division of {a} by {b}: partial remainder chain diverged: {r} vs {r_nat.to_int()}"
-        )
-    quotient = DigitString(q_nat.to_digits())
-    remainder = DigitString(r_nat.to_digits())
-    trace = DivisionTrace(method, a, b, quotient, c, tuple(steps), remainder)
-    return quotient, remainder, trace
+    if r != window:
+        raise RuntimeError(f"{method} division of {a} by {b}: partial remainder chain diverged: {r} vs {window}")
+    quotient = DigitString(c[next(i for i, d in enumerate(c) if d) :])
+    trace = DivisionTrace(method, a, b, quotient, c, tuple(steps), DigitString.from_int(r))
+    return quotient, trace.remainder, trace
 
 
 def _scale(a: DigitString, decimals: int) -> DigitString:

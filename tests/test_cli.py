@@ -79,6 +79,12 @@ def test_mul_segmented(capsys):
     assert code == 1 and "segment" in err
 
 
+def test_mul_oracle_rejects_segment(capsys):
+    code, out, err = run(capsys, "mul", "5", "3", "--method", "oracle", "--segment", "0")
+    assert (code, out) == (1, "")
+    assert "--segment only applies to --method cross" in err
+
+
 def test_mul_trace(capsys):
     code, out, _ = run(capsys, "mul", "348", "697", "--method", "wedge", "--trace")
     assert code == 0
@@ -164,6 +170,20 @@ def test_verify_equiv_suites_small(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "div-equiv", "--limit", "30", "--random-pairs", "5")
     assert code == 0
     assert "div-equiv-one-sided" in out
+
+
+def test_verify_rejects_limit_below_2(capsys):
+    for limit in ("-5", "0", "1"):
+        code, out, err = run(capsys, "verify", "--suite", "div-equiv", "--limit", limit, "--random-pairs", "3")
+        assert (code, out) == (1, "")
+        assert f"--limit must be at least 2, got {limit}" in err
+
+
+def test_verify_rejects_random_pairs_below_1(capsys):
+    for pairs in ("-3", "0"):
+        code, out, err = run(capsys, "verify", "--suite", "mul-equiv", "--limit", "4", "--random-pairs", pairs)
+        assert (code, out) == (1, "")
+        assert f"--random-pairs must be at least 1, got {pairs}" in err
 
 
 def test_usage_error_exits_1(capsys):

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import random
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +17,7 @@ from plumcalc.cross_mul import (
 )
 from plumcalc.digit_string import DigitString, normalize, parse, segment
 from plumcalc.trace import render_mul
+from strategies import numerals
 
 
 def ds(value: int) -> DigitString:
@@ -185,21 +184,6 @@ def test_column_counts():
 
 
 # --- column kernel: packed products against the term-by-term trace ---------
-
-
-def _numeral(length: int, alphabet: str, seed: int) -> int:
-    rng = random.Random(seed)
-    return int("".join(rng.choice(alphabet) for _ in range(length)))
-
-
-def numerals(max_digits: int):
-    """Integers of up to ``max_digits`` digits, some drawn from runs of zeros and nines."""
-    return st.builds(
-        _numeral,
-        st.integers(1, max_digits),
-        st.sampled_from(("0123456789", "0123456789", "09", "9", "019")),
-        st.integers(0, 2**32 - 1),
-    )
 
 
 def all_traces(a: DigitString, b: DigitString):

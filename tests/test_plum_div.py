@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from plumcalc import plum_div
 from plumcalc.digit_string import DigitString
 from plumcalc.plum_div import div_decimal, pp0_plum, pp0_wedge, pp1
+from strategies import numerals
 
 
 def ds(value: int) -> DigitString:
@@ -118,6 +119,18 @@ def test_divmod_rejects_zero_divisor():
         plum_div.divmod(ds(5), ds(3), "nope")
 
 
+def test_divmod_does_not_call_the_oracle(monkeypatch):
+    def unavailable(*args):
+        raise AssertionError("division must not call o_divmod")
+
+    monkeypatch.setattr("plumcalc.oracle.o_divmod", unavailable)
+    monkeypatch.setattr(plum_div, "o_divmod", unavailable, raising=False)
+    for method in plum_div.DIV_METHODS:
+        q, r, trace = plum_div.divmod(ds(56789), ds(369), method)
+        assert (str(q), str(r)) == ("153", "332")
+        assert [s.remainder for s in trace.steps] == [1, 1, 2, 32, 332]
+
+
 def test_divergence_error_names_method_and_operands(monkeypatch):
     real_pp1 = plum_div.pp1
 
@@ -174,6 +187,16 @@ def test_divmod_agrees_random_large(x, y, method):
     # canonical outputs
     assert str(q) == str(x // y)
     assert str(r) == str(x % y)
+
+
+@settings(max_examples=20, deadline=None)
+@given(numerals(640), numerals(320).filter(bool), st.sampled_from(plum_div.DIV_METHODS))
+def test_divmod_agrees_at_scale(x, y, method):
+    q, r, trace = plum_div.divmod(ds(x), ds(y), method)
+    assert (int(q), int(r)) == divmod(x, y)
+    assert trace.pp_reconstruction() == y * int(q)
+    if trace.steps:
+        assert trace.steps[-1].remainder == int(r)
 
 
 def test_div_decimal_worked_example():
