@@ -68,7 +68,7 @@ def _build_parser() -> _Parser:
     p_mul = sub.add_parser("mul", help="multiply two numerals")
     p_mul.add_argument("a")
     p_mul.add_argument("b")
-    p_mul.add_argument("--method", choices=("cross", "plum", "wedge", "oracle"), default="wedge")
+    p_mul.add_argument("--method", choices=(*MUL_METHODS, "oracle"), default="wedge")
     p_mul.add_argument("--segment", type=int, default=1, metavar="L", help="segment length for --method cross")
     p_mul.add_argument("--trace", action="store_true", help="print the column trace")
     p_mul.add_argument("--ascii", action="store_true", help="ASCII-only trace output")
@@ -76,7 +76,7 @@ def _build_parser() -> _Parser:
     p_div = sub.add_parser("div", help="divide two numerals")
     p_div.add_argument("a")
     p_div.add_argument("b")
-    p_div.add_argument("--method", choices=("plum", "wedge", "oracle"), default="plum")
+    p_div.add_argument("--method", choices=(*plum_div.DIV_METHODS, "oracle"), default="plum")
     p_div.add_argument("--decimals", type=int, default=0, metavar="D", help="decimal places in the quotient")
     p_div.add_argument("--trace", action="store_true", help="print the vertical tableau")
     p_div.add_argument("--ascii", action="store_true", help="ASCII-only trace output")
@@ -207,8 +207,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     metrics = bench_mod.run_bench(args.sizes, args.trials, args.seed, args.methods)
     csv_text = bench_mod.metrics_to_csv(metrics)
     if args.csv:
-        with open(args.csv, "w", newline="") as handle:
-            handle.write(csv_text)
+        try:
+            with open(args.csv, "w", newline="") as handle:
+                handle.write(csv_text)
+        except OSError as exc:
+            raise ValueError(f"cannot write --csv {args.csv}: {exc.strerror or exc}") from exc
     else:
         print(csv_text, end="")
     return EXIT_OK

@@ -214,15 +214,31 @@ def _finish(
 # Trace terms, generated when ``MulTrace.columns`` is read
 
 
+def _term_operands(trace: MulTrace) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The two sequences the term indices of ``trace`` point into; empty when a factor is zero.
+
+    Cross terms index the segments, longer operand first; wedge terms index
+    the multiplicand padded with one zero on each end.
+    """
+    if trace.a.is_zero or trace.b.is_zero:
+        return (), ()  # no terms, and a zero product's segment length is never checked
+    if trace.method == "cross":
+        return _cross_operands(trace.a, trace.b, trace.radix_power)
+    if trace.method in ("wedge", "wedge_single"):
+        return (0,) + trace.a.digits + (0,), trace.b.digits
+    return trace.a.digits, trace.b.digits
+
+
 def _column_terms(trace: MulTrace) -> Iterable[list[Term]]:
     """One term list per column of ``trace``, most significant first."""
-    if trace.a.is_zero or trace.b.is_zero:
+    xs, ys = _term_operands(trace)
+    if not xs:
         return [[]]
     if trace.method == "cross":
-        return _cross_terms(*_cross_operands(trace.a, trace.b, trace.radix_power))
+        return _cross_terms(xs, ys)
     if trace.method == "plum":
-        return _plum_terms(trace.a.digits, trace.b.digits)
-    return _wedge_terms(trace.a.digits, trace.b.digits)
+        return _plum_terms(xs, ys)
+    return _wedge_terms(xs, ys)
 
 
 def _cross_terms(xs: tuple[int, ...], ys: tuple[int, ...]) -> Iterator[list[Term]]:
@@ -264,9 +280,8 @@ def _plum_terms(A: tuple[int, ...], B: tuple[int, ...]) -> Iterator[list[Term]]:
         yield terms
 
 
-def _wedge_terms(A: tuple[int, ...], B: tuple[int, ...]) -> Iterator[list[Term]]:
-    m, n = len(A), len(B)
-    padded = (0,) + A + (0,)
+def _wedge_terms(padded: tuple[int, ...], B: tuple[int, ...]) -> Iterator[list[Term]]:
+    m, n = len(padded) - 2, len(B)
     for k in range(m + n):
         terms = []
         for i in range(max(0, k - n + 1), min(m, k) + 1):

@@ -7,6 +7,9 @@ satisfies ``a*b == 10*J + (a ♣ b)``.  The wedge product ``(a,b) ⋈ c`` folds 
 digit's residue together with its right neighbour's carry into one term:
 ``a ♣ c + J(b ♣ c)``.
 
+``♣`` and ``J`` are each one closed formula, total on all integers; their
+10x10 digit tables serve ``wedge`` and the column kernel in ``cross_mul``.
+
 Everything in this module is a pure function of its arguments; the law
 verifiers at the bottom brute-force every identity over its full finite
 domain and report violations instead of asserting.
@@ -37,12 +40,6 @@ __all__ = [
 WEDGE_SYMBOL = "⋈"  # ⋈
 CLUB_SYMBOL = "♣"  # ♣
 
-# Lookup tables for digit arguments; the general formulas below handle the rest.
-_CLUB10 = tuple(tuple(((x * y + 6) % 10) - 6 for y in range(10)) for x in range(10))
-_CARRY10 = tuple(
-    tuple((x * y - _CLUB10[x][y]) // 10 for y in range(10)) for x in range(10)
-)
-
 
 def clubsuit(x: int, y: int) -> int:
     """Plum-blossom product of two integers, always in [-6, 3].
@@ -51,16 +48,21 @@ def clubsuit(x: int, y: int) -> int:
     with the ones-digit rule on non-negative inputs and extends it totally to
     negative ones.
     """
-    if 0 <= x <= 9 and 0 <= y <= 9:
-        return _CLUB10[x][y]
     return ((x * y + 6) % 10) - 6
 
 
 def carry(x: int, y: int) -> int:
-    """The carry J with ``x*y == 10*carry(x, y) + clubsuit(x, y)``."""
-    if 0 <= x <= 9 and 0 <= y <= 9:
-        return _CARRY10[x][y]
-    return (x * y - clubsuit(x, y)) // 10
+    """The carry J with ``x*y == 10*carry(x, y) + clubsuit(x, y)``.
+
+    Computed as ``(x*y + 6) // 10``, the floored quotient whose remainder
+    gives ``clubsuit``, so the split is exact for every pair of integers.
+    """
+    return (x * y + 6) // 10
+
+
+# Digit tables of both primitives, read by ``wedge`` and by the column kernel's byte tables.
+_CLUB10 = tuple(tuple(clubsuit(x, y) for y in range(10)) for x in range(10))
+_CARRY10 = tuple(tuple(carry(x, y) for y in range(10)) for x in range(10))
 
 
 class CarrySplit(NamedTuple):
@@ -491,14 +493,6 @@ def _suite_table_patterns() -> list[LawReport]:
     return reports
 
 
-LAW_SUITES = (
-    "clubsuit-laws",
-    "carry-theorem",
-    "wedge-props",
-    "wedge-theorems",
-    "table-patterns",
-)
-
 _SUITE_RUNNERS = {
     "clubsuit-laws": _suite_clubsuit_laws,
     "carry-theorem": _suite_carry_theorem,
@@ -507,15 +501,12 @@ _SUITE_RUNNERS = {
     "table-patterns": _suite_table_patterns,
 }
 
+LAW_SUITES = tuple(_SUITE_RUNNERS)
+
 
 def verify_laws(suite: str = "all") -> list[LawReport]:
     """Brute-force one named law suite (or ``all``) and return its reports."""
-    if suite == "all":
-        reports: list[LawReport] = []
-        for name in LAW_SUITES:
-            reports.extend(_SUITE_RUNNERS[name]())
-        return reports
-    runner = _SUITE_RUNNERS.get(suite)
-    if runner is None:
+    if suite != "all" and suite not in _SUITE_RUNNERS:
         raise ValueError(f"unknown law suite {suite!r}; expected one of {', '.join(LAW_SUITES)} or 'all'")
-    return runner()
+    names = LAW_SUITES if suite == "all" else (suite,)
+    return [report for name in names for report in _SUITE_RUNNERS[name]()]

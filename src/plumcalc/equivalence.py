@@ -1,16 +1,20 @@
 """Differential checks: every method against the schoolbook oracle.
 
-The sweeps are exhaustive on a small-operand box plus one-sided sweeps over
-all four-digit values, then seeded random pairs up to 64 digits.  The default
-box keeps an exhaustive all-pairs run affordable; the bound can be raised via
-the ``limit`` arguments (``plumcalc verify --limit``; the acceptance suite
-reads it from the ``PLUMCALC_EXHAUSTIVE_LIMIT`` environment variable).
+Each sweep is a stream of ``(check, x, y)`` cases fed to one driver that sums
+the case counts the checks return and collects their violations into a
+:class:`LawReport`.  The sweeps are exhaustive on a small-operand box, plus
+one-sided sweeps over all four-digit values, then seeded random pairs up to
+64 digits.  The default box keeps an exhaustive all-pairs run affordable; the
+bound can be raised via the ``limit`` arguments (``plumcalc verify --limit``;
+the acceptance suite reads it from the ``PLUMCALC_EXHAUSTIVE_LIMIT``
+environment variable).
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
+from typing import Callable, Iterable, Iterator
 
 from .cross_mul import MUL_METHODS, wedge_mul_single
 from .digit_core import LawReport
@@ -25,11 +29,16 @@ __all__ = [
     "DEFAULT_EXHAUSTIVE_LIMIT",
     "ONE_SIDED_MULTIPLIERS",
     "ONE_SIDED_DIVISORS",
+    "RANDOM_MAX_DIGITS",
 ]
 
 DEFAULT_EXHAUSTIVE_LIMIT = 256
 ONE_SIDED_MULTIPLIERS = (1, 7, 99, 9999)
 ONE_SIDED_DIVISORS = (1, 7, 99, 369, 3456)
+RANDOM_MAX_DIGITS = 64  # longest random factor or dividend; random divisors get half
+
+# One sweep case: a check, then the two operands it is run on.
+_Case = tuple[Callable[..., int], DigitString, "DigitString | int"]
 
 
 def _seeded_rng(seed: int, *labels: int | str) -> random.Random:
@@ -44,15 +53,32 @@ def _random_digits(rng: random.Random, length: int) -> DigitString:
     return DigitString(tuple(digits))
 
 
-def random_digit_string(rng: random.Random, max_digits: int, min_digits: int = 1) -> DigitString:
+def random_digit_string(rng: random.Random, max_digits: int) -> DigitString:
     """Uniform-length random digit string with a non-zero leading digit."""
-    return _random_digits(rng, rng.randint(min_digits, max_digits))
+    return _random_digits(rng, rng.randint(1, max_digits))
+
+
+def _sweep(law: str, detail: str, cases: Iterable[_Case]) -> LawReport:
+    """Run every case, summing the counts its check returns, into one report."""
+    violations: list = []
+    count = 0
+    for check, x, y in cases:
+        count += check(violations, x, y)
+    return LawReport(law, count, tuple(violations), detail)
+
+
+def _one_sided(check: Callable[..., int], others: tuple[int, ...]) -> Iterator[_Case]:
+    """Every value below 10**4 against each of ``others``, built as it is needed."""
+    fixed = [DigitString.from_int(v) for v in others]
+    for av in range(10_000):
+        a = DigitString.from_int(av)
+        for b in fixed:
+            yield check, a, b
 
 
 def verify_mul_equivalence(
     limit: int = DEFAULT_EXHAUSTIVE_LIMIT,
     random_pairs: int = 1000,
-    max_digits: int = 64,
     seed: int = 2024,
 ) -> list[LawReport]:
     """All multiplication methods agree with the oracle.
@@ -60,15 +86,21 @@ def verify_mul_equivalence(
     Covers every pair below ``limit`` exhaustively (all methods, plus the
     single-digit streaming method against every digit multiplier), every value
     below 10**4 against a fixed multiplier set, and ``random_pairs`` seeded
-    random pairs of up to ``max_digits`` digits.
+    random pairs of up to ``RANDOM_MAX_DIGITS`` digits.
     """
-    reports = []
-
-    box = _mul_box(limit)
-    reports.append(box)
-    reports.append(_mul_one_sided())
-    reports.append(_mul_random(random_pairs, max_digits, seed))
-    return reports
+    return [
+        _sweep("mul-equiv-exhaustive", f"all pairs below {limit}", _mul_box(limit)),
+        _sweep(
+            "mul-equiv-one-sided",
+            f"all values below 10^4 times {ONE_SIDED_MULTIPLIERS}",
+            _one_sided(_mul_check, ONE_SIDED_MULTIPLIERS),
+        ),
+        _sweep(
+            "mul-equiv-random",
+            f"{random_pairs} pairs up to {RANDOM_MAX_DIGITS} digits",
+            _mul_random(random_pairs, seed),
+        ),
+    ]
 
 
 def _mul_check(violations: list, a: DigitString, b: DigitString) -> int:
@@ -89,53 +121,27 @@ def _mul_single_check(violations: list, a: DigitString, c: int) -> int:
     return 1
 
 
-def _mul_box(limit: int) -> LawReport:
-    violations: list = []
-    count = 0
-    for av in range(limit):
-        a = DigitString.from_int(av)
-        for bv in range(limit):
-            b = DigitString.from_int(bv)
-            count += _mul_check(violations, a, b)
+def _mul_box(limit: int) -> Iterator[_Case]:
+    values = [DigitString.from_int(v) for v in range(limit)]
+    for a in values:
+        for b in values:
+            yield _mul_check, a, b
         for c in range(10):
-            count += _mul_single_check(violations, a, c)
-    return LawReport("mul-equiv-exhaustive", count, tuple(violations), f"all pairs below {limit}")
+            yield _mul_single_check, a, c
 
 
-def _mul_one_sided() -> LawReport:
-    violations: list = []
-    count = 0
-    multipliers = [DigitString.from_int(m) for m in ONE_SIDED_MULTIPLIERS]
-    for av in range(10_000):
-        a = DigitString.from_int(av)
-        for b in multipliers:
-            count += _mul_check(violations, a, b)
-    return LawReport(
-        "mul-equiv-one-sided",
-        count,
-        tuple(violations),
-        f"all values below 10^4 times {ONE_SIDED_MULTIPLIERS}",
-    )
-
-
-def _mul_random(random_pairs: int, max_digits: int, seed: int) -> LawReport:
-    violations: list = []
-    count = 0
+def _mul_random(random_pairs: int, seed: int) -> Iterator[_Case]:
     for trial in range(random_pairs):
         rng = _seeded_rng(seed, "mul", trial)
-        a = random_digit_string(rng, max_digits)
-        b = random_digit_string(rng, max_digits)
-        count += _mul_check(violations, a, b)
-        count += _mul_single_check(violations, a, rng.randint(0, 9))
-    return LawReport(
-        "mul-equiv-random", count, tuple(violations), f"{random_pairs} pairs up to {max_digits} digits"
-    )
+        a = random_digit_string(rng, RANDOM_MAX_DIGITS)
+        b = random_digit_string(rng, RANDOM_MAX_DIGITS)
+        yield _mul_check, a, b
+        yield _mul_single_check, a, rng.randint(0, 9)
 
 
 def verify_div_equivalence(
     limit: int = DEFAULT_EXHAUSTIVE_LIMIT,
     random_pairs: int = 1000,
-    max_digits: int = 64,
     seed: int = 2024,
 ) -> list[LawReport]:
     """Both division methods return the oracle's (q, r) and reconstruct b*q.
@@ -143,12 +149,19 @@ def verify_div_equivalence(
     Same coverage plan as the multiplication checks; every trace is also
     required to satisfy the partial-product reconstruction identity.
     """
-    reports = [
-        _div_box(limit),
-        _div_one_sided(),
-        _div_random(random_pairs, max_digits, seed),
+    return [
+        _sweep("div-equiv-exhaustive", f"all pairs below {limit}", _div_box(limit)),
+        _sweep(
+            "div-equiv-one-sided",
+            f"all dividends below 10^4 over divisors {ONE_SIDED_DIVISORS}",
+            _one_sided(_div_check, ONE_SIDED_DIVISORS),
+        ),
+        _sweep(
+            "div-equiv-random",
+            f"{random_pairs} pairs up to {RANDOM_MAX_DIGITS} digits",
+            _div_random(random_pairs, seed),
+        ),
     ]
-    return reports
 
 
 def _div_check(violations: list, a: DigitString, b: DigitString) -> int:
@@ -156,47 +169,25 @@ def _div_check(violations: list, a: DigitString, b: DigitString) -> int:
     eq, er = str(expected_q), str(expected_r)
     for method in plum_div.DIV_METHODS:
         q, r, trace = plum_div.divmod(a, b, method)
-        if str(q) != eq or str(r) != er:
+        if str(q) != eq:
             violations.append(((int(a), int(b)), int(eq), int(q)))
+        elif str(r) != er:
+            violations.append(((int(a), int(b)), int(er), int(r)))
         elif trace.pp_reconstruction() != int(b) * int(q):
             violations.append(((int(a), int(b)), int(b) * int(q), trace.pp_reconstruction()))
     return len(plum_div.DIV_METHODS)
 
 
-def _div_box(limit: int) -> LawReport:
-    violations: list = []
-    count = 0
-    for av in range(limit):
-        a = DigitString.from_int(av)
-        for bv in range(1, limit):
-            count += _div_check(violations, a, DigitString.from_int(bv))
-    return LawReport("div-equiv-exhaustive", count, tuple(violations), f"all pairs below {limit}")
+def _div_box(limit: int) -> Iterator[_Case]:
+    values = [DigitString.from_int(v) for v in range(limit)]
+    for a in values:
+        for b in values[1:]:
+            yield _div_check, a, b
 
 
-def _div_one_sided() -> LawReport:
-    violations: list = []
-    count = 0
-    divisors = [DigitString.from_int(d) for d in ONE_SIDED_DIVISORS]
-    for av in range(10_000):
-        a = DigitString.from_int(av)
-        for b in divisors:
-            count += _div_check(violations, a, b)
-    return LawReport(
-        "div-equiv-one-sided",
-        count,
-        tuple(violations),
-        f"all dividends below 10^4 over divisors {ONE_SIDED_DIVISORS}",
-    )
-
-
-def _div_random(random_pairs: int, max_digits: int, seed: int) -> LawReport:
-    violations: list = []
-    count = 0
+def _div_random(random_pairs: int, seed: int) -> Iterator[_Case]:
     for trial in range(random_pairs):
         rng = _seeded_rng(seed, "div", trial)
-        a = random_digit_string(rng, max_digits)
-        b = random_digit_string(rng, max(1, max_digits // 2))
-        count += _div_check(violations, a, b)
-    return LawReport(
-        "div-equiv-random", count, tuple(violations), f"{random_pairs} pairs up to {max_digits} digits"
-    )
+        a = random_digit_string(rng, RANDOM_MAX_DIGITS)
+        b = random_digit_string(rng, RANDOM_MAX_DIGITS // 2)
+        yield _div_check, a, b

@@ -41,9 +41,6 @@ __all__ = [
     "DIV_METHODS",
 ]
 
-DIV_METHODS = ("plum", "wedge")
-
-
 @dataclass(frozen=True)
 class DivisionStep:
     """One step of the division loop.
@@ -79,13 +76,8 @@ class DivisionTrace:
     remainder: DigitString
 
     def pp_reconstruction(self) -> int:
-        """``sum(PP_n * 10**(s-n))`` over all steps; equals divisor * quotient."""
-        s = len(self.dividend)
-        total = 0
-        for step in self.steps:
-            pp = step.pp0 + (step.pp1 or 0)
-            total += pp * 10 ** (s - step.index)
-        return total
+        """``sum(PP_n * 10**(s-n))`` over the steps ``1..s``; equals divisor * quotient."""
+        return _horner((step.pp0 + (step.pp1 or 0) for step in self.steps), 10)
 
 
 def pp0_plum(b: DigitString, c_so_far: Sequence[int], n: int) -> tuple[int, tuple[Term, ...]]:
@@ -124,6 +116,7 @@ def pp1(b: DigitString, c_n: int) -> tuple[int, tuple[Term, ...]]:
 
 
 _PP0 = {"plum": pp0_plum, "wedge": pp0_wedge}
+DIV_METHODS = tuple(_PP0)
 
 
 def divmod(a: DigitString, b: DigitString, method: str = "plum") -> tuple[DigitString, DigitString, DivisionTrace]:

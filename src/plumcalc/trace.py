@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cross_mul import MulTrace, Term, _cross_operands
+from .cross_mul import MulTrace, Term, _term_operands
 from .plum_div import DivisionTrace
 
 __all__ = ["RenderedTrace", "render_mul", "render_div"]
@@ -37,18 +37,6 @@ def _symbols(ascii_only: bool) -> tuple[str, str, str]:
     return "♣", "⋈", "×"
 
 
-def _operands(trace: MulTrace) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The two sequences a trace's term indices point into."""
-    if trace.product.is_zero:
-        return (), ()  # no terms, and a zero product's segment length is never checked
-    if trace.method == "cross":
-        # term indices follow the internal orientation: longer operand first
-        return _cross_operands(trace.a, trace.b, trace.radix_power)
-    if trace.method in ("wedge", "wedge_single"):
-        return (0,) + trace.a.digits + (0,), trace.b.digits
-    return trace.a.digits, trace.b.digits
-
-
 def _mul_term_text(term: Term, xs: tuple[int, ...], ys: tuple[int, ...], symbols: tuple[str, str, str]) -> str:
     club, bowtie, times = symbols
     x, y = xs[term.i], ys[term.j]
@@ -68,7 +56,7 @@ def _mul_term_text(term: Term, xs: tuple[int, ...], ys: tuple[int, ...], symbols
 def render_mul(trace: MulTrace, ascii_only: bool = False) -> RenderedTrace:
     """One line per column, then the signed column tuple, then the product."""
     symbols = _symbols(ascii_only)
-    xs, ys = _operands(trace)
+    xs, ys = _term_operands(trace)
     header = f"{trace.a} {symbols[2]} {trace.b}  [{trace.method}]"
     if trace.radix_power > 1:
         header += f" (segments of {trace.radix_power})"

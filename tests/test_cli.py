@@ -206,6 +206,14 @@ def test_bench_csv_stdout_and_file(capsys, tmp_path):
     assert target.read_text().startswith("method,size,trials")
 
 
+def test_bench_csv_unwritable_path_is_a_usage_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "bench.csv"
+    code, out, err = run(capsys, "bench", "--sizes", "2", "--trials", "1", "--methods", "plum", "--csv", str(target))
+    assert (code, out) == (1, "")
+    assert err.startswith("plumcalc: error: ") and str(target) in err
+    assert "Traceback" not in err
+
+
 def test_cli_output_byte_identical(capsys):
     _, first, _ = run(capsys, "mul", "348", "697", "--trace")
     _, second, _ = run(capsys, "mul", "348", "697", "--trace")

@@ -157,7 +157,7 @@ def test_methods_agree_exhaustively_small():
 
 
 @settings(max_examples=200)
-@given(st.integers(min_value=0, max_value=10**64), st.integers(min_value=0, max_value=10**64))
+@given(numerals(64), numerals(64))
 def test_methods_agree_random_large(x, y):
     a, b = ds(x), ds(y)
     expected = str(x * y)
@@ -167,7 +167,7 @@ def test_methods_agree_random_large(x, y):
 
 
 @settings(max_examples=100)
-@given(st.integers(min_value=0, max_value=10**32), st.integers(min_value=1, max_value=3))
+@given(numerals(32), st.integers(min_value=1, max_value=3))
 def test_rapid_segmented_agrees_random(x, length):
     a = ds(x)
     b = ds(x // 2 + 1)

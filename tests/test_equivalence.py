@@ -1,0 +1,41 @@
+"""Equivalence sweeps: a wrong method must show up as violations naming its operands."""
+
+from __future__ import annotations
+
+from plumcalc import equivalence, plum_div
+from plumcalc.cross_mul import MUL_METHODS, plum_mul
+from plumcalc.digit_string import DigitString
+
+
+def test_broken_mul_method_fails_every_mul_sweep(monkeypatch):
+    def broken(a, b):
+        product, trace = plum_mul(a, b)
+        return DigitString.from_int(int(product) + 1), trace
+
+    monkeypatch.setitem(MUL_METHODS, "plum", broken)
+    monkeypatch.setattr(equivalence, "ONE_SIDED_MULTIPLIERS", (7,))  # one multiplier keeps the 10^4 sweep short
+    reports = equivalence.verify_mul_equivalence(limit=3, random_pairs=2, seed=7)
+    assert [r.law for r in reports] == ["mul-equiv-exhaustive", "mul-equiv-one-sided", "mul-equiv-random"]
+    assert [len(r.violations) for r in reports] == [9, 10_000, 2]
+    for report in reports:
+        assert not report.holds
+        for (x, y), expected, actual in report.violations:
+            assert (expected, actual) == (x * y, x * y + 1)
+    assert {inputs for inputs, _, _ in reports[0].violations} == {(x, y) for x in range(3) for y in range(3)}
+
+
+def test_wrong_remainder_is_recorded_as_remainders(monkeypatch):
+    divmod_ = plum_div.divmod
+
+    def off_by_one(a, b, method):
+        q, r, trace = divmod_(a, b, method)
+        return q, DigitString.from_int(int(r) + 1), trace
+
+    monkeypatch.setattr(plum_div, "divmod", off_by_one)
+    monkeypatch.setattr(equivalence, "ONE_SIDED_DIVISORS", (7,))  # one divisor keeps the 10^4 sweep short
+    reports = equivalence.verify_div_equivalence(limit=3, random_pairs=2, seed=7)
+    assert [len(r.violations) for r in reports] == [2 * 6, 2 * 10_000, 2 * 2]
+    for report in reports:
+        for (x, y), expected, actual in report.violations:
+            assert expected != actual
+            assert (expected, actual) == (x % y, x % y + 1)
