@@ -1,18 +1,22 @@
 """Deterministic micro-benchmark harness for the multiplication methods.
 
-Counts are derived from the trace each method returns, so two runs with the
-same seed and configuration emit identical metrics; only the elapsed wall time
+Counts follow from the method, the operand lengths and the signed columns each
+method returns (no trace's term breakdown is built), so two runs with the same
+seed and configuration emit identical metrics; only the elapsed wall time
 differs.  ``elapsed_ns`` times the multiplication call alone (column kernel and
-``normalize``): the trace's term breakdown is built on first read, after the
-timed call, when the counts below read it.  Every trial's result is checked against the schoolbook
-oracle before any metric for it is recorded — a mismatch aborts the run.
+``normalize``).  Every trial's result is checked against the schoolbook oracle
+before any metric for it is recorded — a mismatch aborts the run.
 
 Counting rules (fixed, documented here so the CSV is comparable across runs):
 each residue or carry lookup counts as one single-digit multiplication, a kept
 whole product counts as one, the trailing decimal split counts once for its
 pair of terms, and a wedge term counts as two (it evaluates two digit
-products).  ``carry_count`` is the number of columns that emit a non-zero
-carry while the signed columns are normalized.
+products).  An ``m``-digit by ``n``-digit product thus counts ``m*n`` for
+cross, ``2*m*n - 2`` for plum (1 when ``m == n == 1``) and ``2*(m+1)*n`` for
+wedge, whose padded multiplicand has ``m + 1`` windows (``n == 1`` for
+wedge_single).  ``max_abs_col`` and ``mean_abs_col`` are taken over the signed
+columns; ``carry_count`` is the number of columns that emit a non-zero carry
+while they are normalized.
 """
 
 from __future__ import annotations
@@ -30,14 +34,14 @@ __all__ = ["BenchMetrics", "run_bench", "metrics_to_csv", "BENCH_METHODS", "CSV_
 
 CSV_HEADER = "method,size,trials,mul_count,carry_count,max_abs_col,mean_abs_col,elapsed_ns"
 
-_MUL_WEIGHT = {
-    "residue": 1,
-    "carry": 1,
-    "product": 1,
-    "product_ones": 1,
-    "product_tens": 0,
-    "wedge": 2,
-}
+
+def _mul_count(method: str, m: int, n: int) -> int:
+    """Single-digit multiplications of one ``m``-digit by ``n``-digit product, by the rules above."""
+    if method == "cross":
+        return m * n
+    if method == "plum":
+        return 2 * m * n - 2 if m * n > 1 else 1
+    return 2 * (m + 1) * n
 
 
 @dataclass(frozen=True)
@@ -83,12 +87,9 @@ def run_bench(
     for method in sorted(methods):
         single = method == "wedge_single"
         for size in sorted(sizes):
-            mul_count = 0
             carry_count = 0
-            max_abs = 0
-            abs_sum = 0
-            col_count = 0
             elapsed = 0
+            magnitudes: list[int] = []
             for trial in range(trials):
                 a = _random_digits(_seeded_rng(seed, method, size, trial, 0), size)
                 b = _random_digits(_seeded_rng(seed, method, size, trial, 1), 1 if single else size)
@@ -103,16 +104,12 @@ def run_bench(
                         f"oracle mismatch for {method} on {a} * {b}: got {product}, expected {expected}"
                     )
 
-                for column in trace.columns:
-                    for term in column.terms:
-                        mul_count += _MUL_WEIGHT[term.kind]
-                    abs_sum += abs(column.total)
-                    col_count += 1
-                    max_abs = max(max_abs, abs(column.total))
+                magnitudes += map(abs, trace.signed.columns)
                 carry_count += normalize_stats(trace.signed, trace.radix_power)[1]
-            mean_abs = abs_sum / col_count if col_count else 0.0
+            mul_count = trials * _mul_count(method, size, 1 if single else size)
+            mean_abs = sum(magnitudes) / len(magnitudes)
             results.append(
-                BenchMetrics(method, size, trials, mul_count, carry_count, max_abs, mean_abs, elapsed)
+                BenchMetrics(method, size, trials, mul_count, carry_count, max(magnitudes), mean_abs, elapsed)
             )
     return results
 

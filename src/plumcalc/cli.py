@@ -34,6 +34,9 @@ EXIT_FAILURE = 2
 
 VERIFY_SUITES = LAW_SUITES + ("mul-equiv", "div-equiv", "all")
 
+# each place is one more dividend digit, so one more held division step
+MAX_DECIMALS = 100000
+
 
 class _Parser(argparse.ArgumentParser):
     """Argument parser whose usage errors exit with code 1."""
@@ -158,6 +161,8 @@ def _cmd_div(args: argparse.Namespace) -> int:
     a, b = parse(args.a), parse(args.b)
     if args.decimals < 0:
         raise ValueError(f"--decimals must be non-negative, got {args.decimals}")
+    if args.decimals > MAX_DECIMALS:
+        raise ValueError(f"--decimals must be at most {MAX_DECIMALS}, got {args.decimals}")
     if args.method == "oracle":
         if args.trace:
             raise ValueError("--trace is not available for --method oracle")

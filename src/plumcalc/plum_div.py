@@ -12,6 +12,14 @@ quotient digits (``pp0``) and a part involving the digit chosen at this step
   ``b[t+1] = 0`` — same value, terms folded pairwise.
 * ``pp1``: ``b[1]*c[n] + J(b[2] ♣ c[n])``.
 
+Both ``pp0`` forms have the same value, and every step's value is read off one
+call of the column kernel: with ``W = cross_mul._wedge_columns(b[2..t], c)``
+over the whole quotient ``c``, step ``n`` has ``pp0 = W[n-1] - J(b[2] ♣ c[n])``
+while ``n <= len(c)`` and ``W[n-1]`` after that (0-indexed ``W``; a one-digit
+divisor gives all zeros).  The subtracted J is the ``pp1`` carry that the
+kernel's zero pad folds into column ``n-1``.  A step's terms are generated by
+``pp0_plum``/``pp0_wedge``/``pp1`` only when they are first read.
+
 The partial remainders obey ``r[n] = 10*r[n-1] + a[n] - pp0 - pp1`` and may go
 negative between steps; only the final remainder is range-checked.  Quotient
 digits are selected exactly (they are the true long-division digits, taken
@@ -23,10 +31,11 @@ the trace reproduces each worked vertical layout while termination and
 from __future__ import annotations
 
 import builtins
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
-from .cross_mul import Term
+from .cross_mul import Term, _wedge_columns
 from .digit_core import carry, clubsuit, wedge
 from .digit_string import DigitString, _horner
 
@@ -49,18 +58,34 @@ class DivisionStep:
     is ``interim - pp0``, and ``remainder`` is the step's final ``r_n``.  For
     steps past the quotient length there is no digit choice: ``quotient_digit``
     and ``pp1`` are None and ``remainder == after_pp0``.
+
+    ``division`` is the (method, divisor, quotient digits) that every step of
+    one division shares; :attr:`pp0_terms` and :attr:`pp1_terms` are built
+    from it when first read, so they are not dataclass fields.
     """
 
     index: int
     digit: int
     interim: int
     pp0: int
-    pp0_terms: tuple[Term, ...]
     after_pp0: int
     quotient_digit: int | None
     pp1: int | None
-    pp1_terms: tuple[Term, ...]
     remainder: int
+    division: tuple[str, DigitString, tuple[int, ...]] = field(repr=False, compare=False)
+
+    @cached_property
+    def pp0_terms(self) -> tuple[Term, ...]:
+        """Terms of ``pp0`` in the division's method; their values sum to ``pp0``."""
+        method, b, c = self.division
+        return _PP0[method](b, c, self.index)[1]
+
+    @cached_property
+    def pp1_terms(self) -> tuple[Term, ...]:
+        """Terms of ``pp1``; empty past the quotient length."""
+        if self.quotient_digit is None:
+            return ()
+        return pp1(self.division[1], self.quotient_digit)[1]
 
 
 @dataclass(frozen=True)
@@ -127,7 +152,8 @@ def divmod(a: DigitString, b: DigitString, method: str = "plum") -> tuple[DigitS
     quotient digit, so the quotient has exactly ``s - t + 1`` digits (a leading
     zero is allowed).  Each dividend digit is then processed in one step of the
     partial-remainder recurrence, whose final remainder must equal the running
-    one.
+    one.  Every step's ``pp0`` comes from one column-kernel call (see the
+    module docstring) and ``pp1`` is computed once per distinct quotient digit.
     """
     if method not in _PP0:
         raise ValueError(f"unknown division method {method!r}; expected one of {DIV_METHODS}")
@@ -145,21 +171,28 @@ def divmod(a: DigitString, b: DigitString, method: str = "plum") -> tuple[DigitS
         quotient = DigitString((0,))
         trace = DivisionTrace(method, a, b, quotient, (), (), a)
         return quotient, a, trace
-    pp0_fn = _PP0[method]
+    if t == 1:
+        pp0_values = [0] * s
+    else:
+        pp0_values = _wedge_columns(b.digits[1:], c)
+        for k, c_k in enumerate(c):
+            pp0_values[k] -= carry(b[1], c_k)
+    pp1_values = {d: pp1(b, d)[0] for d in set(c)}
+    division = (method, b, c)
     steps = []
     r = 0
     for n in range(1, s + 1):
         digit = a[n - 1]
         interim = 10 * r + digit
-        p0, terms0 = pp0_fn(b, c, n)
+        p0 = pp0_values[n - 1]
         after0 = interim - p0
         if n <= len(c):
             c_n = c[n - 1]
-            p1, terms1 = pp1(b, c_n)
+            p1 = pp1_values[c_n]
             r_n = after0 - p1
         else:
-            c_n, p1, terms1, r_n = None, None, (), after0
-        steps.append(DivisionStep(n, digit, interim, p0, terms0, after0, c_n, p1, terms1, r_n))
+            c_n, p1, r_n = None, None, after0
+        steps.append(DivisionStep(n, digit, interim, p0, after0, c_n, p1, r_n, division))
         r = r_n
     if r != window:
         raise RuntimeError(f"{method} division of {a} by {b}: partial remainder chain diverged: {r} vs {window}")

@@ -32,8 +32,8 @@ def test_different_seed_changes_operands():
 
 
 def test_schoolbook_count_single_digit():
-    metrics = run_bench(sizes=[1], trials=1, seed=0, methods=["cross"])
-    assert metrics[0].mul_count == 1
+    metrics = run_bench(sizes=[1], trials=1, seed=0)
+    assert {m.method: m.mul_count for m in metrics} == {"cross": 1, "plum": 1, "wedge": 4, "wedge_single": 4}
 
 
 def test_wedge_single_columns_within_bounds():
@@ -65,6 +65,15 @@ def test_oracle_gate_aborts_on_mismatch(monkeypatch):
     monkeypatch.setitem(MUL_METHODS, "plum", broken)
     with pytest.raises(RuntimeError, match="oracle mismatch"):
         run_bench(sizes=[3], trials=1, seed=0, methods=["plum"])
+
+
+def test_bench_builds_no_trace_terms(monkeypatch):
+    def unavailable(trace):
+        raise AssertionError("bench must not build trace terms")
+
+    monkeypatch.setattr("plumcalc.cross_mul._column_terms", unavailable)
+    metrics = run_bench(sizes=[1, 5], trials=2, seed=3)
+    assert len(metrics) == 2 * len(BENCH_METHODS)
 
 
 def test_csv_format():

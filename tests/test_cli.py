@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from plumcalc.cli import main
+from plumcalc.cli import MAX_DECIMALS, main
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -110,6 +110,15 @@ def test_div_plain_and_decimal(capsys):
     assert (code, out) == (0, "153 r 332\n")
     code, out, _ = run(capsys, "div", "56789", "369", "--method", "oracle", "--decimals", "2")
     assert (code, out) == (0, "153.89 r 359\n")
+
+
+def test_div_decimals_has_an_upper_bound(capsys):
+    code, out, _ = run(capsys, "div", "10", "3", "--decimals", str(MAX_DECIMALS))
+    assert (code, out) == (0, "3." + "3" * MAX_DECIMALS + " r 1\n")
+    for method in ("plum", "oracle"):
+        code, out, err = run(capsys, "div", "10", "3", "--method", method, "--decimals", str(MAX_DECIMALS + 1))
+        assert (code, out) == (1, "")
+        assert f"--decimals must be at most {MAX_DECIMALS}, got {MAX_DECIMALS + 1}" in err
 
 
 def test_mul_accepts_numerals_past_int_string_limit(capsys):

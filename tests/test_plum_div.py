@@ -186,13 +186,47 @@ def test_divmod_agrees_random_large(x, y, method):
 
 
 @settings(max_examples=20, deadline=None)
-@given(numerals(640), numerals(320).filter(bool), st.sampled_from(plum_div.DIV_METHODS))
+@given(numerals(2048), numerals(1024).filter(bool), st.sampled_from(plum_div.DIV_METHODS))
 def test_divmod_agrees_at_scale(x, y, method):
     q, r, trace = plum_div.divmod(ds(x), ds(y), method)
     assert (int(q), int(r)) == divmod(x, y)
     assert trace.pp_reconstruction() == y * int(q)
     if trace.steps:
         assert trace.steps[-1].remainder == int(r)
+
+
+divisors = st.one_of(
+    numerals(64).filter(bool),
+    st.integers(1, 9),
+    st.integers(0, 63).map(lambda k: 10**k),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(numerals(128), divisors, st.sampled_from(plum_div.DIV_METHODS))
+def test_step_values_match_the_partial_product_functions(x, y, method):
+    pp0_fn = plum_div._PP0[method]
+    b = ds(y)
+    _, _, trace = plum_div.divmod(ds(x), b, method)
+    c = trace.quotient_digits
+    for step in trace.steps:
+        n = step.index
+        assert step.pp0 == pp0_fn(b, c[: n - 1], n)[0] == sum(t.value for t in step.pp0_terms)
+        if n <= len(c):
+            assert step.pp1 == pp1(b, c[n - 1])[0] == sum(t.value for t in step.pp1_terms)
+        else:
+            assert step.pp1 is None and step.pp1_terms == ()
+
+
+def test_division_terms_are_built_only_when_read():
+    x, y = int("7" * 2048), int("3" + "1" * 1023)
+    for method in plum_div.DIV_METHODS:
+        q, _, trace = plum_div.divmod(ds(x), ds(y), method)
+        assert int(q) == x // y
+        assert all("pp0_terms" not in s.__dict__ and "pp1_terms" not in s.__dict__ for s in trace.steps)
+        step = trace.steps[1]
+        assert step.pp0_terms is step.pp0_terms
+        assert "pp0_terms" in step.__dict__
 
 
 def test_div_decimal_worked_example():
