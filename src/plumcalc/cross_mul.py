@@ -31,6 +31,7 @@ substitution), and every slot stays non-negative because no residue is packed.
 
 from __future__ import annotations
 
+import operator
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -211,7 +212,11 @@ def _finish(
 
 
 # ---------------------------------------------------------------------------
-# Trace terms, generated when ``MulTrace.columns`` is read
+# Trace terms, generated when ``MulTrace.columns`` or a division step's terms
+# are read.  Every term list is made of whole or clipped diagonals
+# ``i + j == k`` of an operand grid, built by ``_diagonal_terms``: one per
+# multiplication column here, and one per step in ``plum_div``, whose partial
+# products pair the divisor with the quotient digits chosen so far.
 
 
 def _term_operands(trace: MulTrace) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -241,53 +246,59 @@ def _column_terms(trace: MulTrace) -> Iterable[list[Term]]:
     return _wedge_terms(xs, ys)
 
 
+def _diagonal(k: int, m: int, n: int, first: int = 0) -> range:
+    """Row indices ``i >= first`` of the cells ``(i, k - i)`` of an ``m`` by ``n`` grid."""
+    return range(max(first, k - n + 1), min(m - 1, k) + 1)
+
+
+_PAIR_VALUES: dict[str, Callable[[int, int], int]] = {"product": operator.mul, "residue": clubsuit, "carry": carry}
+
+
+def _diagonal_terms(kind: str, xs: Sequence[int], ys: Sequence[int], k: int, first: int = 0) -> list[Term]:
+    """Terms of ``kind`` for the pairs ``(xs[i], ys[k - i])``, ``i >= first``.
+
+    A wedge term pairs the window ``(xs[i], xs[i+1])`` with ``ys[k - i]``, so
+    its rows are the ``len(xs) - 1`` windows of ``xs``.
+    """
+    if kind == "wedge":
+        return [
+            Term(kind, i, k - i, wedge(xs[i], xs[i + 1], ys[k - i])) for i in _diagonal(k, len(xs) - 1, len(ys), first)
+        ]
+    value = _PAIR_VALUES[kind]
+    return [Term(kind, i, k - i, value(xs[i], ys[k - i])) for i in _diagonal(k, len(xs), len(ys), first)]
+
+
 def _cross_terms(xs: tuple[int, ...], ys: tuple[int, ...]) -> Iterator[list[Term]]:
-    m, n = len(xs), len(ys)
-    for k in range(m + n - 1):
-        terms = []
-        for i in range(max(0, k - n + 1), min(m, k + 1)):
-            j = k - i
-            terms.append(Term("product", i, j, xs[i] * ys[j]))
-        yield terms
+    for k in range(len(xs) + len(ys) - 1):
+        yield _diagonal_terms("product", xs, ys, k)
 
 
 def _plum_terms(A: tuple[int, ...], B: tuple[int, ...]) -> Iterator[list[Term]]:
+    """Column ``k`` holds the residues of diagonal ``k`` and the carries of diagonal ``k + 1``.
+
+    The leading product stays whole in column 0.  The trailing product, alone
+    on the last diagonal, puts its tens in the second-to-last column and its
+    ones in the last.
+    """
     m, n = len(A), len(B)
     k_last = m + n - 2
     if k_last == 0:
-        yield [Term("product", 0, 0, A[0] * B[0])]
+        yield _diagonal_terms("product", A, B, 0)
         return
-    trailing = A[m - 1] * B[n - 1]
-    for k in range(k_last + 1):
-        terms = []
-        if k == 0:
-            terms.append(Term("product", 0, 0, A[0] * B[0]))
+    tens, ones = divmod(A[-1] * B[-1], 10)
+    for k in range(k_last):
+        terms = _diagonal_terms("residue" if k else "product", A, B, k)
+        if k < k_last - 1:
+            terms += _diagonal_terms("carry", A, B, k + 1)
         else:
-            for i in range(max(0, k - n + 1), min(m, k + 1)):
-                j = k - i
-                if (i, j) == (m - 1, n - 1):
-                    continue
-                terms.append(Term("residue", i, j, clubsuit(A[i], B[j])))
-        for i in range(max(0, k + 2 - n), min(m, k + 2)):
-            j = k + 1 - i
-            if (i, j) == (m - 1, n - 1):
-                continue
-            terms.append(Term("carry", i, j, carry(A[i], B[j])))
-        if k == k_last - 1:
-            terms.append(Term("product_tens", m - 1, n - 1, trailing // 10))
-        if k == k_last:
-            terms.append(Term("product_ones", m - 1, n - 1, trailing % 10))
+            terms.append(Term("product_tens", m - 1, n - 1, tens))
         yield terms
+    yield [Term("product_ones", m - 1, n - 1, ones)]
 
 
 def _wedge_terms(padded: tuple[int, ...], B: tuple[int, ...]) -> Iterator[list[Term]]:
-    m, n = len(padded) - 2, len(B)
-    for k in range(m + n):
-        terms = []
-        for i in range(max(0, k - n + 1), min(m, k) + 1):
-            j = k - i
-            terms.append(Term("wedge", i, j, wedge(padded[i], padded[i + 1], B[j])))
-        yield terms
+    for k in range(len(padded) + len(B) - 2):
+        yield _diagonal_terms("wedge", padded, B, k)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ goal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 __all__ = ["Nat", "o_add", "o_sub", "o_mul", "o_divmod", "o_cmp"]
 
@@ -69,14 +69,33 @@ class Nat:
         return "".join(str(d) for d in self.to_digits())
 
 
+def _cmp_limbs(x: Sequence[int], y: Sequence[int]) -> int:
+    if len(x) != len(y):
+        return -1 if len(x) < len(y) else 1
+    for i in range(len(x) - 1, -1, -1):
+        if x[i] != y[i]:
+            return -1 if x[i] < y[i] else 1
+    return 0
+
+
+def _sub_limbs(x: list[int], y: Sequence[int]) -> None:
+    # in-place x -= y; caller guarantees x >= y
+    borrow = 0
+    for i in range(len(x)):
+        digit = x[i] - borrow - (y[i] if i < len(y) else 0)
+        if digit < 0:
+            digit += 10
+            borrow = 1
+        else:
+            borrow = 0
+        x[i] = digit
+    while x and x[-1] == 0:
+        x.pop()
+
+
 def o_cmp(x: Nat, y: Nat) -> int:
     """-1, 0 or 1 as x is less than, equal to, or greater than y."""
-    if len(x.limbs) != len(y.limbs):
-        return -1 if len(x.limbs) < len(y.limbs) else 1
-    for a, b in zip(reversed(x.limbs), reversed(y.limbs)):
-        if a != b:
-            return -1 if a < b else 1
-    return 0
+    return _cmp_limbs(x.limbs, y.limbs)
 
 
 def o_add(x: Nat, y: Nat) -> Nat:
@@ -96,18 +115,8 @@ def o_sub(x: Nat, y: Nat) -> Nat:
     """Exact difference; raises on underflow."""
     if o_cmp(x, y) < 0:
         raise ValueError("subtraction underflow: minuend is smaller than subtrahend")
-    out = []
-    borrow = 0
-    for i, limb in enumerate(x.limbs):
-        digit = limb - borrow - (y.limbs[i] if i < len(y.limbs) else 0)
-        if digit < 0:
-            digit += 10
-            borrow = 1
-        else:
-            borrow = 0
-        out.append(digit)
-    while out and out[-1] == 0:
-        out.pop()
+    out = list(x.limbs)
+    _sub_limbs(out, y.limbs)
     return Nat(tuple(out))
 
 
@@ -129,30 +138,6 @@ def o_mul(x: Nat, y: Nat) -> Nat:
     while acc and acc[-1] == 0:
         acc.pop()
     return Nat(tuple(acc))
-
-
-def _cmp_limbs(x: list[int], y: tuple[int, ...]) -> int:
-    if len(x) != len(y):
-        return -1 if len(x) < len(y) else 1
-    for i in range(len(x) - 1, -1, -1):
-        if x[i] != y[i]:
-            return -1 if x[i] < y[i] else 1
-    return 0
-
-
-def _sub_limbs(x: list[int], y: tuple[int, ...]) -> None:
-    # in-place x -= y; caller guarantees x >= y
-    borrow = 0
-    for i in range(len(x)):
-        digit = x[i] - borrow - (y[i] if i < len(y) else 0)
-        if digit < 0:
-            digit += 10
-            borrow = 1
-        else:
-            borrow = 0
-        x[i] = digit
-    while x and x[-1] == 0:
-        x.pop()
 
 
 def o_divmod(x: Nat, y: Nat) -> tuple[Nat, Nat]:

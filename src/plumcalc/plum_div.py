@@ -14,11 +14,25 @@ quotient digits (``pp0``) and a part involving the digit chosen at this step
 
 Both ``pp0`` forms have the same value, and every step's value is read off one
 call of the column kernel: with ``W = cross_mul._wedge_columns(b[2..t], c)``
-over the whole quotient ``c``, step ``n`` has ``pp0 = W[n-1] - J(b[2] ♣ c[n])``
-while ``n <= len(c)`` and ``W[n-1]`` after that (0-indexed ``W``; a one-digit
-divisor gives all zeros).  The subtracted J is the ``pp1`` carry that the
-kernel's zero pad folds into column ``n-1``.  A step's terms are generated by
-``pp0_plum``/``pp0_wedge``/``pp1`` only when they are first read.
+over the whole quotient ``c`` and ``J_n = J(b[2] ♣ c[n])``, step ``n`` has
+``pp0 = W[n-1] - J_n`` and ``pp1 = b[1]*c[n] + J_n`` while ``n <= len(c)``,
+and ``pp0 = W[n-1]`` after that (0-indexed ``W``; a one-digit divisor gives
+all zeros and ``J_n = 0``).  ``J_n`` is the ``pp1`` carry that the kernel's
+zero pad folds into column ``n-1``; it is computed once per step.
+
+A step's terms are multiplication terms ``(kind, i, j, value)`` of the divisor
+digits ``b[i]`` against the quotient digits ``c[j]`` (both 0-indexed here),
+read along one diagonal ``i + j`` by ``cross_mul._diagonal_terms``:
+
+* plum ``pp0``: residues on ``i + j == n-1`` with ``i >= 1``, and carries on
+  ``i + j == n`` with ``i >= 2``;
+* wedge ``pp0``: wedges of the windows of ``b`` followed by 0 on
+  ``i + j == n-1`` with ``i >= 1``;
+* ``pp1``: the product on diagonal 0 and the carry on diagonal 1 of ``b``
+  against the single digit chosen at step ``n``.
+
+They are built by ``pp0_plum``/``pp0_wedge``/``pp1`` only when first read;
+``divmod`` builds none.
 
 The partial remainders obey ``r[n] = 10*r[n-1] + a[n] - pp0 - pp1`` and may go
 negative between steps; only the final remainder is range-checked.  Quotient
@@ -35,8 +49,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
-from .cross_mul import Term, _wedge_columns
-from .digit_core import carry, clubsuit, wedge
+from .cross_mul import Term, _diagonal_terms, _wedge_columns
+from .digit_core import carry
 from .digit_string import DigitString, _horner
 
 __all__ = [
@@ -109,12 +123,8 @@ def pp0_plum(b: DigitString, c_so_far: Sequence[int], n: int) -> tuple[int, tupl
     """Plum form of the step-``n`` partial product over the quotient digits before ``c[n]``."""
     if n < 1:
         raise ValueError(f"step index must be positive, got {n}")
-    t, k = len(b), len(c_so_far)
-    terms = []
-    for i in range(max(2, n + 1 - k), min(t, n) + 1):  # quotient index n+1-i in 1..k
-        terms.append(Term("residue", i - 1, n - i, clubsuit(b[i - 1], c_so_far[n - i])))
-    for i in range(max(3, n + 2 - k), min(t, n + 1) + 1):  # quotient index n+2-i in 1..k
-        terms.append(Term("carry", i - 1, n + 1 - i, carry(b[i - 1], c_so_far[n + 1 - i])))
+    terms = _diagonal_terms("residue", b.digits, c_so_far, n - 1, first=1)
+    terms += _diagonal_terms("carry", b.digits, c_so_far, n, first=2)
     return sum(term.value for term in terms), tuple(terms)
 
 
@@ -122,11 +132,7 @@ def pp0_wedge(b: DigitString, c_so_far: Sequence[int], n: int) -> tuple[int, tup
     """Wedge form of the same partial product: equal value, pairwise terms."""
     if n < 1:
         raise ValueError(f"step index must be positive, got {n}")
-    t, k = len(b), len(c_so_far)
-    terms = []
-    for i in range(max(2, n + 1 - k), min(t, n) + 1):  # quotient index n+1-i in 1..k
-        follower = b[i] if i < t else 0
-        terms.append(Term("wedge", i - 1, n - i, wedge(b[i - 1], follower, c_so_far[n - i])))
+    terms = _diagonal_terms("wedge", b.digits + (0,), c_so_far, n - 1, first=1)
     return sum(term.value for term in terms), tuple(terms)
 
 
@@ -134,9 +140,7 @@ def pp1(b: DigitString, c_n: int) -> tuple[int, tuple[Term, ...]]:
     """Partial product involving the newly chosen digit: ``b[1]*c_n + J(b[2] ♣ c_n)``."""
     if not 0 <= c_n <= 9:
         raise ValueError(f"quotient digit must lie in 0..9, got {c_n}")
-    terms = [Term("product", 0, 0, b[0] * c_n)]
-    if len(b) > 1:
-        terms.append(Term("carry", 1, 0, carry(b[1], c_n)))
+    terms = _diagonal_terms("product", b.digits, (c_n,), 0) + _diagonal_terms("carry", b.digits, (c_n,), 1)
     return sum(term.value for term in terms), tuple(terms)
 
 
@@ -152,8 +156,8 @@ def divmod(a: DigitString, b: DigitString, method: str = "plum") -> tuple[DigitS
     quotient digit, so the quotient has exactly ``s - t + 1`` digits (a leading
     zero is allowed).  Each dividend digit is then processed in one step of the
     partial-remainder recurrence, whose final remainder must equal the running
-    one.  Every step's ``pp0`` comes from one column-kernel call (see the
-    module docstring) and ``pp1`` is computed once per distinct quotient digit.
+    one.  Every step's ``pp0`` and ``pp1`` come from one column-kernel call
+    and the step's carry ``J(b[2] ♣ c[n])`` (see the module docstring).
     """
     if method not in _PP0:
         raise ValueError(f"unknown division method {method!r}; expected one of {DIV_METHODS}")
@@ -171,29 +175,23 @@ def divmod(a: DigitString, b: DigitString, method: str = "plum") -> tuple[DigitS
         quotient = DigitString((0,))
         trace = DivisionTrace(method, a, b, quotient, (), (), a)
         return quotient, a, trace
-    if t == 1:
-        pp0_values = [0] * s
-    else:
-        pp0_values = _wedge_columns(b.digits[1:], c)
-        for k, c_k in enumerate(c):
-            pp0_values[k] -= carry(b[1], c_k)
-    pp1_values = {d: pp1(b, d)[0] for d in set(c)}
+    columns = _wedge_columns(b.digits[1:], c) if t > 1 else [0] * s
+    lead, second = (b.digits + (0,))[:2]  # a one-digit divisor has no second digit
     division = (method, b, c)
     steps = []
     r = 0
-    for n in range(1, s + 1):
-        digit = a[n - 1]
+    for n, digit in enumerate(a.digits, 1):
         interim = 10 * r + digit
-        p0 = pp0_values[n - 1]
-        after0 = interim - p0
         if n <= len(c):
             c_n = c[n - 1]
-            p1 = pp1_values[c_n]
-            r_n = after0 - p1
+            carry_n = carry(second, c_n)
+            p0, p1 = columns[n - 1] - carry_n, lead * c_n + carry_n
+            after0 = interim - p0
+            r = after0 - p1
         else:
-            c_n, p1, r_n = None, None, after0
-        steps.append(DivisionStep(n, digit, interim, p0, after0, c_n, p1, r_n, division))
-        r = r_n
+            c_n, p0, p1 = None, columns[n - 1], None
+            r = after0 = interim - p0
+        steps.append(DivisionStep(n, digit, interim, p0, after0, c_n, p1, r, division))
     if r != window:
         raise RuntimeError(f"{method} division of {a} by {b}: partial remainder chain diverged: {r} vs {window}")
     quotient = DigitString(c[next(i for i, d in enumerate(c) if d) :])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from plumcalc import digit_core
 from plumcalc.digit_core import (
     LAW_SUITES,
     WEDGE_MAX_EXCLUDING_NINE,
@@ -190,6 +191,48 @@ def test_wedge_props_suite():
     by_name = {r.law: r for r in reports}
     assert "max attained at [(7, 9, 9)]" in by_name["wedge-bounds"].detail
     assert f"maximum over c != 9 is {WEDGE_MAX_EXCLUDING_NINE}" in by_name["wedge-max-excluding-nine"].detail
+
+
+def _law_report(monkeypatch, name, patched, suite, law):
+    """The report of ``law`` with the digit function ``name`` of ``digit_core`` replaced."""
+    monkeypatch.setattr(digit_core, name, patched)
+    return next(r for r in verify_laws(suite) if r.law == law)
+
+
+def test_carry_theorem_violation_names_its_pair(monkeypatch):
+    def patched(a, b):
+        return -3 if (a, b) == (4, 6) else delta(a, b)
+
+    report = _law_report(monkeypatch, "delta", patched, "carry-theorem", "carry-closed-form")
+    assert report.domain_size == 81
+    assert report.violations == (((4, 6), -2, -3),)
+
+
+def test_wedge_bounds_violations_name_their_triples(monkeypatch):
+    def second_maximum(a, b, c):
+        return 11 if (a, b, c) == (2, 3, 4) else wedge(a, b, c)
+
+    def no_minimum(a, b, c):
+        return max(-5, wedge(a, b, c))
+
+    report = _law_report(monkeypatch, "wedge", second_maximum, "wedge-props", "wedge-bounds")
+    assert report.domain_size == 1000
+    assert report.violations == (((2, 3, 4), 0, 1),)
+    report = _law_report(monkeypatch, "wedge", no_minimum, "wedge-props", "wedge-bounds")
+    ((abc, expected, actual),) = report.violations
+    assert (expected, actual) == (-6, -5) and no_minimum(*abc) == -5
+
+
+def test_wedge_max_excluding_nine_violation_names_its_triple(monkeypatch):
+    def capped(a, b, c):
+        return min(8, wedge(a, b, c))
+
+    report = _law_report(monkeypatch, "wedge", capped, "wedge-props", "wedge-max-excluding-nine")
+    assert report.domain_size == 901
+    assert report.detail == "true maximum over c != 9 is 8"
+    ((abc, expected, actual),) = report.violations
+    assert (expected, actual) == (WEDGE_MAX_EXCLUDING_NINE, 8)
+    assert len(abc) == 3 and abc[2] != 9 and capped(*abc) == 8
 
 
 def test_wedge_theorems_suite():

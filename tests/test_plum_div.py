@@ -72,6 +72,99 @@ def test_pp1_worked_values():
         pp1(ds(369), 10)
 
 
+# Per step of three worked divisions: the pp0 terms in the plum and in the
+# wedge form, then the pp1 terms, as (kind, i, j, value).  Recorded from the
+# per-term loops that built them before the term builders shared one
+# diagonal rule, so that a change of kind, index or order shows.
+PINNED_TERMS = {
+    (56789, 369, "plum"): [
+        ((), (), (("product", 0, 0, 3), ("carry", 1, 0, 1))),
+        (
+            (("residue", 1, 0, -4), ("carry", 2, 0, 1)),
+            (("wedge", 1, 0, -3),),
+            (("product", 0, 0, 15), ("carry", 1, 0, 3)),
+        ),
+        (
+            (("residue", 1, 1, 0), ("residue", 2, 0, -1), ("carry", 2, 1, 5)),
+            (("wedge", 1, 1, 5), ("wedge", 2, 0, -1)),
+            (("product", 0, 0, 9), ("carry", 1, 0, 2)),
+        ),
+        (
+            (("residue", 1, 2, -2), ("residue", 2, 1, -5), ("carry", 2, 2, 3)),
+            (("wedge", 1, 2, 1), ("wedge", 2, 1, -5)),
+            (),
+        ),
+        ((("residue", 2, 2, -3),), (("wedge", 2, 2, -3),), ()),
+    ],
+    (2728018, 3456, "plum"): [
+        ((), (), (("product", 0, 0, 0), ("carry", 1, 0, 0))),
+        (
+            (("residue", 1, 0, 0), ("carry", 2, 0, 0)),
+            (("wedge", 1, 0, 0),),
+            (("product", 0, 0, 21), ("carry", 1, 0, 3)),
+        ),
+        (
+            (("residue", 1, 1, -2), ("residue", 2, 0, 0), ("carry", 2, 1, 4), ("carry", 3, 0, 0)),
+            (("wedge", 1, 1, 2), ("wedge", 2, 0, 0)),
+            (("product", 0, 0, 24), ("carry", 1, 0, 3)),
+        ),
+        (
+            (("residue", 1, 2, 2), ("residue", 2, 1, -5), ("residue", 3, 0, 0), ("carry", 2, 2, 4), ("carry", 3, 1, 4)),
+            (("wedge", 1, 2, 6), ("wedge", 2, 1, -1), ("wedge", 3, 0, 0)),
+            (("product", 0, 0, 27), ("carry", 1, 0, 4)),
+        ),
+        (
+            (("residue", 1, 3, -4), ("residue", 2, 2, 0), ("residue", 3, 1, 2), ("carry", 2, 3, 5), ("carry", 3, 2, 5)),
+            (("wedge", 1, 3, 1), ("wedge", 2, 2, 5), ("wedge", 3, 1, 2)),
+            (),
+        ),
+        (
+            (("residue", 2, 3, -5), ("residue", 3, 2, -2), ("carry", 3, 3, 6)),
+            (("wedge", 2, 3, 1), ("wedge", 3, 2, -2)),
+            (),
+        ),
+        ((("residue", 3, 3, -6),), (("wedge", 3, 3, -6),), ()),
+    ],
+    (242558, 697, "wedge"): [
+        ((), (), (("product", 0, 0, 0), ("carry", 1, 0, 0))),
+        (
+            (("residue", 1, 0, 0), ("carry", 2, 0, 0)),
+            (("wedge", 1, 0, 0),),
+            (("product", 0, 0, 18), ("carry", 1, 0, 3)),
+        ),
+        (
+            (("residue", 1, 1, -3), ("residue", 2, 0, 0), ("carry", 2, 1, 2)),
+            (("wedge", 1, 1, -1), ("wedge", 2, 0, 0)),
+            (("product", 0, 0, 24), ("carry", 1, 0, 4)),
+        ),
+        (
+            (("residue", 1, 2, -4), ("residue", 2, 1, 1), ("carry", 2, 2, 3)),
+            (("wedge", 1, 2, -1), ("wedge", 2, 1, 1)),
+            (("product", 0, 0, 48), ("carry", 1, 0, 7)),
+        ),
+        (
+            (("residue", 1, 3, 2), ("residue", 2, 2, -2), ("carry", 2, 3, 6)),
+            (("wedge", 1, 3, 8), ("wedge", 2, 2, -2)),
+            (),
+        ),
+        ((("residue", 2, 3, -4),), (("wedge", 2, 3, -4),), ()),
+    ],
+}
+
+
+@pytest.mark.parametrize("a, b, method", list(PINNED_TERMS))
+def test_division_terms_are_pinned(a, b, method):
+    _, _, trace = plum_div.divmod(ds(a), ds(b), method)
+    pinned = PINNED_TERMS[a, b, method]
+    form = 1 if method == "wedge" else 0
+    assert [(s.pp0_terms, s.pp1_terms) for s in trace.steps] == [(row[form], row[2]) for row in pinned]
+    # both forms on the quotient prefixes, as a replay from the digits chosen so far calls them
+    c = trace.quotient_digits
+    for n, (plum_terms, wedge_terms, _) in enumerate(pinned, 1):
+        assert pp0_plum(ds(b), c[: n - 1], n)[1] == plum_terms
+        assert pp0_wedge(ds(b), c[: n - 1], n)[1] == wedge_terms
+
+
 def test_divmod_worked_trace_56789_369():
     q, r, trace = plum_div.divmod(ds(56789), ds(369), "plum")
     assert (str(q), str(r)) == ("153", "332")
@@ -131,14 +224,26 @@ def test_divmod_does_not_call_the_oracle(monkeypatch):
         assert [s.remainder for s in trace.steps] == [1, 1, 2, 32, 332]
 
 
+def test_divmod_builds_no_terms(monkeypatch):
+    def unavailable(*args, **kwargs):
+        raise AssertionError("divmod must not build terms")
+
+    for name in ("pp0_plum", "pp0_wedge", "pp1", "_diagonal_terms"):
+        monkeypatch.setattr(plum_div, name, unavailable)
+    for method in plum_div.DIV_METHODS:
+        _, _, trace = plum_div.divmod(ds(2728018), ds(3456), method)
+        assert [s.pp1 for s in trace.steps] == [0, 24, 27, 31, None, None, None]
+
+
 def test_divergence_error_names_method_and_operands(monkeypatch):
-    real_pp1 = plum_div.pp1
+    real_columns = plum_div._wedge_columns
 
-    def off_by_one(b, c_n):
-        value, terms = real_pp1(b, c_n)
-        return value + 1, terms
+    def off_by_one(xs, ys):
+        columns = real_columns(xs, ys)
+        columns[1] += 1
+        return columns
 
-    monkeypatch.setattr(plum_div, "pp1", off_by_one)
+    monkeypatch.setattr(plum_div, "_wedge_columns", off_by_one)
     for method in plum_div.DIV_METHODS:
         with pytest.raises(RuntimeError, match=f"^{method} division of 56789 by 369: partial remainder chain diverged"):
             plum_div.divmod(ds(56789), ds(369), method)
