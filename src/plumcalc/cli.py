@@ -4,12 +4,15 @@ Subcommands: ``club``, ``carry``, ``wedge``, ``table``, ``mul``, ``div``,
 ``verify``, ``bench``.  Numerals accept space/underscore grouping on input and
 are always emitted ungrouped.  Exit codes: 0 success, 1 usage or parse error,
 2 verification failure or arithmetic error (division by zero).  Output is
-plain text with no styling, so NO_COLOR changes nothing.
+plain text with no styling, so NO_COLOR changes nothing.  ``mul --segment``
+is at most ``MAX_SEGMENT`` and ``div --decimals`` at most ``MAX_DECIMALS``;
+larger values exit 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Sequence
 
@@ -36,6 +39,9 @@ VERIFY_SUITES = LAW_SUITES + ("mul-equiv", "div-equiv", "all")
 
 # each place is one more dividend digit, so one more held division step
 MAX_DECIMALS = 100000
+# segments and their radix 10**L are L digits long whatever the operands,
+# so time and memory grow with L
+MAX_SEGMENT = 100000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -47,7 +53,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser every ``main`` call in the process shares.
+
+    Parsing only reads it and returns a new namespace, so every default must
+    be immutable: a list default would be one object handed to every call.
+    """
     parser = _Parser(prog="plumcalc", description="Plum-blossom product and wedge product arithmetic")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -95,10 +107,10 @@ def _build_parser() -> _Parser:
     p_verify.add_argument("--random-pairs", type=int, default=200, help="random large-operand pairs per equivalence suite")
 
     p_bench = sub.add_parser("bench", help="run the deterministic micro-benchmark")
-    p_bench.add_argument("--sizes", type=int, nargs="+", default=[4, 8, 16, 32])
+    p_bench.add_argument("--sizes", type=int, nargs="+", default=(4, 8, 16, 32))
     p_bench.add_argument("--trials", type=int, default=16)
     p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--methods", nargs="+", choices=bench_mod.BENCH_METHODS, default=list(bench_mod.BENCH_METHODS))
+    p_bench.add_argument("--methods", nargs="+", choices=bench_mod.BENCH_METHODS, default=bench_mod.BENCH_METHODS)
     p_bench.add_argument("--csv", metavar="PATH", help="write CSV here instead of standard output")
 
     return parser
@@ -141,6 +153,8 @@ def _cmd_mul(args: argparse.Namespace) -> int:
     a, b = parse(args.a), parse(args.b)
     if args.method != "cross" and args.segment != 1:
         raise ValueError("--segment only applies to --method cross")
+    if args.segment > MAX_SEGMENT:
+        raise ValueError(f"--segment must be at most {MAX_SEGMENT}, got {args.segment}")
     if args.method == "oracle":
         if args.trace:
             raise ValueError("--trace is not available for --method oracle")

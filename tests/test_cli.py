@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from plumcalc.cli import MAX_DECIMALS, main
+from plumcalc import cli
+from plumcalc.bench import BENCH_METHODS
+from plumcalc.cli import MAX_DECIMALS, MAX_SEGMENT, main
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -77,6 +79,14 @@ def test_mul_segmented(capsys):
     assert (code, out) == (0, "8701824\n")
     code, _, err = run(capsys, "mul", "12", "34", "--method", "plum", "--segment", "2")
     assert code == 1 and "segment" in err
+
+
+def test_mul_segment_has_an_upper_bound(capsys):
+    code, out, _ = run(capsys, "mul", "123", "456", "--method", "cross", "--segment", str(MAX_SEGMENT))
+    assert (code, out) == (0, "56088\n")
+    code, out, err = run(capsys, "mul", "123", "456", "--method", "cross", "--segment", str(MAX_SEGMENT + 1))
+    assert (code, out) == (1, "")
+    assert err == f"plumcalc: error: --segment must be at most {MAX_SEGMENT}, got {MAX_SEGMENT + 1}\n"
 
 
 def test_mul_oracle_rejects_segment(capsys):
@@ -227,3 +237,45 @@ def test_cli_output_byte_identical(capsys):
     _, first, _ = run(capsys, "mul", "348", "697", "--trace")
     _, second, _ = run(capsys, "mul", "348", "697", "--trace")
     assert first == second
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    run(capsys, "mul", "348", "697")  # builds the parser unless an earlier call did
+    built = []
+    original = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    for _ in range(3):
+        assert run(capsys, "mul", "348", "697") == (0, "242556\n", "")
+    assert built == []
+
+
+HELP_ARGVS = [["--help"]] + [[command, "--help"] for command in cli._COMMANDS]
+USAGE_ERROR_ARGVS = [
+    ["mul", "123"],
+    ["nonsense"],
+    ["mul", "123", "456", "--method", "bogus"],
+    ["bench", "--methods"],
+    ["table", "x"],
+]
+
+
+def test_parser_reuse_keeps_every_output(capsys):
+    cli._build_parser.cache_clear()
+    first = run(capsys, "mul", "348", "697", "--trace")
+    passes = [[run(capsys, *argv) for argv in HELP_ARGVS + USAGE_ERROR_ARGVS] for _ in range(2)]
+    assert passes[0] == passes[1]
+    assert [code for code, _, _ in passes[0]] == [0] * len(HELP_ARGVS) + [1] * len(USAGE_ERROR_ARGVS)
+    assert all(out for _, out, _ in passes[0][: len(HELP_ARGVS)])
+    assert all(err.startswith("usage: plumcalc") for _, _, err in passes[0][len(HELP_ARGVS) :])
+    assert run(capsys, "mul", "348", "697", "--trace") == first
+
+
+def test_bench_defaults_are_immutable():
+    args = cli._build_parser().parse_args(["bench"])
+    assert args.sizes == (4, 8, 16, 32)
+    assert args.methods == BENCH_METHODS
