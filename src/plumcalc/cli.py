@@ -5,8 +5,9 @@ Subcommands: ``club``, ``carry``, ``wedge``, ``table``, ``mul``, ``div``,
 are always emitted ungrouped.  Exit codes: 0 success, 1 usage or parse error,
 2 verification failure or arithmetic error (division by zero).  Output is
 plain text with no styling, so NO_COLOR changes nothing.  ``mul --segment``
-is at most ``MAX_SEGMENT`` and ``div --decimals`` at most ``MAX_DECIMALS``;
-larger values exit 1.
+is at most ``MAX_SEGMENT``, ``div --decimals`` at most ``MAX_DECIMALS``,
+``verify --limit`` at most ``MAX_LIMIT`` and each ``bench --sizes`` value at
+most ``MAX_BENCH_SIZE``; larger values exit 1.
 """
 
 from __future__ import annotations
@@ -42,6 +43,12 @@ MAX_DECIMALS = 100000
 # segments and their radix 10**L are L digits long whatever the operands,
 # so time and memory grow with L
 MAX_SEGMENT = 100000
+# the exhaustive sweeps check limit**2 pairs each, 10**8 at this bound (the
+# one-sided sweeps' 10**4 range), from limit operands built up front
+MAX_LIMIT = 10000
+# every trial is checked against the oracle, whose product is quadratic: one
+# trial of each method at 4000 digits takes about 12 s (CPython 3.11.7)
+MAX_BENCH_SIZE = 100000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -208,6 +215,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     # smaller values leave a sweep with no cases, which would print PASS having checked nothing
     if args.limit < 2:
         raise ValueError(f"--limit must be at least 2, got {args.limit}")
+    if args.limit > MAX_LIMIT:
+        raise ValueError(f"--limit must be at most {MAX_LIMIT}, got {args.limit}")
     if args.random_pairs < 1:
         raise ValueError(f"--random-pairs must be at least 1, got {args.random_pairs}")
     reports: list[LawReport] = []
@@ -223,6 +232,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    if max(args.sizes) > MAX_BENCH_SIZE:
+        raise ValueError(f"--sizes must be at most {MAX_BENCH_SIZE}, got {max(args.sizes)}")
     metrics = bench_mod.run_bench(args.sizes, args.trials, args.seed, args.methods)
     csv_text = bench_mod.metrics_to_csv(metrics)
     if args.csv:

@@ -2,8 +2,7 @@
 
 At step ``n`` the running remainder takes the next dividend digit and gives up
 the partial product ``PP_n``, split into a part that only involves earlier
-quotient digits (``pp0``) and a part involving the digit chosen at this step
-(``pp1``):
+quotient digits (``pp0``) and a part involving the digit chosen now (``pp1``):
 
 * ``pp0`` (plum form): ``sum(b[i] ♣ c[n+1-i] for i in 2..t)`` plus
   ``sum(J(b[i] ♣ c[n+2-i]) for i in 3..t)``, quotient digits outside their
@@ -18,11 +17,18 @@ over the whole quotient ``c`` and ``J_n = J(b[2] ♣ c[n])``, step ``n`` has
 ``pp0 = W[n-1] - J_n`` and ``pp1 = b[1]*c[n] + J_n`` while ``n <= len(c)``,
 and ``pp0 = W[n-1]`` after that (0-indexed ``W``; a one-digit divisor gives
 all zeros and ``J_n = 0``).  ``J_n`` is the ``pp1`` carry that the kernel's
-zero pad folds into column ``n-1``; it is computed once per step.
+zero pad folds into column ``n-1``, so it cancels in ``PP_n = pp0 + pp1``.
 
-A step's terms are multiplication terms ``(kind, i, j, value)`` of the divisor
-digits ``b[i]`` against the quotient digits ``c[j]`` (both 0-indexed here),
-read along one diagonal ``i + j`` by ``cross_mul._diagonal_terms``:
+The partial remainders obey ``r[n] = 10*r[n-1] + a[n] - PP_n`` and may go
+negative between steps; only the final remainder is range-checked.  Quotient
+digits are the true long-division digits of a running remainder, so the trace
+reproduces each worked vertical layout and ``0 <= r < b`` is guaranteed.
+
+``divmod`` builds no step and no term: it checks the remainder chain on the
+``PP_n`` alone and keeps ``W`` in the trace, which builds its ``steps`` from
+``W``, and each step its terms, when first read.  The terms are ``(kind, i, j,
+value)`` of divisor digits ``b[i]`` against quotient digits ``c[j]`` (0-indexed
+here) along one diagonal ``i + j``, from ``cross_mul._diagonal_terms``:
 
 * plum ``pp0``: residues on ``i + j == n-1`` with ``i >= 1``, and carries on
   ``i + j == n`` with ``i >= 2``;
@@ -30,39 +36,21 @@ read along one diagonal ``i + j`` by ``cross_mul._diagonal_terms``:
   ``i + j == n-1`` with ``i >= 1``;
 * ``pp1``: the product on diagonal 0 and the carry on diagonal 1 of ``b``
   against the single digit chosen at step ``n``.
-
-They are built by ``pp0_plum``/``pp0_wedge``/``pp1`` only when first read;
-``divmod`` builds none.
-
-The partial remainders obey ``r[n] = 10*r[n-1] + a[n] - pp0 - pp1`` and may go
-negative between steps; only the final remainder is range-checked.  Quotient
-digits are selected exactly (they are the true long-division digits, taken
-from a running remainder that brings down one dividend digit at a time), so
-the trace reproduces each worked vertical layout while termination and
-``0 <= r < b`` are guaranteed.
 """
 
 from __future__ import annotations
 
 import builtins
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .cross_mul import Term, _diagonal_terms, _wedge_columns
 from .digit_core import carry
 from .digit_string import DigitString, _horner
 
-__all__ = [
-    "DivisionStep",
-    "DivisionTrace",
-    "pp0_plum",
-    "pp0_wedge",
-    "pp1",
-    "divmod",
-    "div_decimal",
-    "DIV_METHODS",
-]
+__all__ = ["DivisionStep", "DivisionTrace", "pp0_plum", "pp0_wedge", "pp1", "divmod", "div_decimal", "DIV_METHODS"]
 
 @dataclass(frozen=True)
 class DivisionStep:
@@ -71,11 +59,9 @@ class DivisionStep:
     ``interim`` is ``10*r_prev + digit`` (the bring-down value), ``after_pp0``
     is ``interim - pp0``, and ``remainder`` is the step's final ``r_n``.  For
     steps past the quotient length there is no digit choice: ``quotient_digit``
-    and ``pp1`` are None and ``remainder == after_pp0``.
-
-    ``division`` is the (method, divisor, quotient digits) that every step of
-    one division shares; :attr:`pp0_terms` and :attr:`pp1_terms` are built
-    from it when first read, so they are not dataclass fields.
+    and ``pp1`` are None and ``remainder == after_pp0``.  ``division`` is the
+    (method, divisor, quotient digits) all steps of one division share;
+    :attr:`pp0_terms` and :attr:`pp1_terms` are built from it when first read.
     """
 
     index: int
@@ -111,12 +97,43 @@ class DivisionTrace:
     divisor: DigitString
     quotient: DigitString
     quotient_digits: tuple[int, ...]
-    steps: tuple[DivisionStep, ...]
     remainder: DigitString
+    _columns: tuple[int, ...] = field(repr=False, compare=False)  # the kernel's W; empty for a zero quotient
+
+    @cached_property
+    def steps(self) -> tuple[DivisionStep, ...]:
+        """One step per dividend digit, built from ``W`` when first read; none for a zero quotient."""
+        b, c = self.divisor, self.quotient_digits
+        lead, second = (b.digits + (0,))[:2]  # a one-digit divisor has no second digit
+        division = (self.method, b, c)
+        steps, prev = [], 0
+        for n, (digit, column, r) in enumerate(zip(self.dividend.digits, self._columns, self._remainders()), 1):
+            interim = 10 * prev + digit
+            if n <= len(c):
+                c_n = c[n - 1]
+                carry_n = carry(second, c_n)
+                p0 = column - carry_n
+                steps.append(DivisionStep(n, digit, interim, p0, interim - p0, c_n, lead * c_n + carry_n, r, division))
+            else:
+                steps.append(DivisionStep(n, digit, interim, column, r, None, None, r, division))
+            prev = r
+        return tuple(steps)
 
     def pp_reconstruction(self) -> int:
         """``sum(PP_n * 10**(s-n))`` over the steps ``1..s``; equals divisor * quotient."""
-        return _horner((step.pp0 + (step.pp1 or 0) for step in self.steps), 10)
+        return _horner(self._partial_products(), 10)
+
+    def _partial_products(self) -> Iterator[int]:
+        """``PP_n = pp0 + pp1``: ``W[n-1] + b[1]*c[n]``, then ``W[n-1]`` past the quotient."""
+        lead, c, columns = self.divisor.digits[0], self.quotient_digits, self._columns
+        return map(operator.add, columns, [lead * d for d in c] + [0] * (len(columns) - len(c)))
+
+    def _remainders(self) -> Iterator[int]:
+        """``r[n] = 10*r[n-1] + a[n] - PP_n`` of every step ``n``."""
+        r = 0
+        for digit, pp in zip(self.dividend.digits, self._partial_products()):
+            r = 10 * r + digit - pp
+            yield r
 
 
 def pp0_plum(b: DigitString, c_so_far: Sequence[int], n: int) -> tuple[int, tuple[Term, ...]]:
@@ -154,10 +171,8 @@ def divmod(a: DigitString, b: DigitString, method: str = "plum") -> tuple[DigitS
     Quotient digits come from schoolbook long division: a running remainder
     starts as the first ``t - 1`` dividend digits and brings down one more per
     quotient digit, so the quotient has exactly ``s - t + 1`` digits (a leading
-    zero is allowed).  Each dividend digit is then processed in one step of the
-    partial-remainder recurrence, whose final remainder must equal the running
-    one.  Every step's ``pp0`` and ``pp1`` come from one column-kernel call
-    and the step's carry ``J(b[2] ♣ c[n])`` (see the module docstring).
+    zero is allowed).  The partial-remainder chain, read off one column-kernel
+    call, must end at the running remainder; no step is built until read.
     """
     if method not in _PP0:
         raise ValueError(f"unknown division method {method!r}; expected one of {DIV_METHODS}")
@@ -173,29 +188,14 @@ def divmod(a: DigitString, b: DigitString, method: str = "plum") -> tuple[DigitS
     c = tuple(c)
     if not any(c):
         quotient = DigitString((0,))
-        trace = DivisionTrace(method, a, b, quotient, (), (), a)
-        return quotient, a, trace
-    columns = _wedge_columns(b.digits[1:], c) if t > 1 else [0] * s
-    lead, second = (b.digits + (0,))[:2]  # a one-digit divisor has no second digit
-    division = (method, b, c)
-    steps = []
-    r = 0
-    for n, digit in enumerate(a.digits, 1):
-        interim = 10 * r + digit
-        if n <= len(c):
-            c_n = c[n - 1]
-            carry_n = carry(second, c_n)
-            p0, p1 = columns[n - 1] - carry_n, lead * c_n + carry_n
-            after0 = interim - p0
-            r = after0 - p1
-        else:
-            c_n, p0, p1 = None, columns[n - 1], None
-            r = after0 = interim - p0
-        steps.append(DivisionStep(n, digit, interim, p0, after0, c_n, p1, r, division))
+        return quotient, a, DivisionTrace(method, a, b, quotient, (), a, ())
+    columns = tuple(_wedge_columns(b.digits[1:], c)) if t > 1 else (0,) * s
+    quotient = DigitString(c[next(i for i, d in enumerate(c) if d) :])
+    trace = DivisionTrace(method, a, b, quotient, c, DigitString.from_int(window), columns)
+    for r in trace._remainders():
+        pass
     if r != window:
         raise RuntimeError(f"{method} division of {a} by {b}: partial remainder chain diverged: {r} vs {window}")
-    quotient = DigitString(c[next(i for i, d in enumerate(c) if d) :])
-    trace = DivisionTrace(method, a, b, quotient, c, tuple(steps), DigitString.from_int(r))
     return quotient, trace.remainder, trace
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from plumcalc import cli
 from plumcalc.bench import BENCH_METHODS
-from plumcalc.cli import MAX_DECIMALS, MAX_SEGMENT, main
+from plumcalc.cli import MAX_BENCH_SIZE, MAX_DECIMALS, MAX_LIMIT, MAX_SEGMENT, main
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -198,6 +198,22 @@ def test_verify_rejects_limit_below_2(capsys):
         assert f"--limit must be at least 2, got {limit}" in err
 
 
+def test_verify_limit_has_an_upper_bound(capsys, monkeypatch):
+    def unavailable(**kwargs):
+        raise AssertionError("an out-of-range --limit must be rejected before any sweep")
+
+    monkeypatch.setattr(cli, "verify_mul_equivalence", lambda limit, random_pairs: [])
+    code, out, _ = run(capsys, "verify", "--suite", "mul-equiv", "--limit", str(MAX_LIMIT), "--random-pairs", "1")
+    assert (code, out) == (0, "0 laws checked: all hold\n")
+    monkeypatch.setattr(cli, "verify_mul_equivalence", unavailable)
+    monkeypatch.setattr(cli, "verify_div_equivalence", unavailable)
+    for suite in ("mul-equiv", "div-equiv", "all"):
+        for limit in (MAX_LIMIT + 1, 100000000):
+            code, out, err = run(capsys, "verify", "--suite", suite, "--limit", str(limit), "--random-pairs", "1")
+            assert (code, out) == (1, "")
+            assert err == f"plumcalc: error: --limit must be at most {MAX_LIMIT}, got {limit}\n"
+
+
 def test_verify_rejects_random_pairs_below_1(capsys):
     for pairs in ("-3", "0"):
         code, out, err = run(capsys, "verify", "--suite", "mul-equiv", "--limit", "4", "--random-pairs", pairs)
@@ -273,6 +289,20 @@ def test_parser_reuse_keeps_every_output(capsys):
     assert all(out for _, out, _ in passes[0][: len(HELP_ARGVS)])
     assert all(err.startswith("usage: plumcalc") for _, _, err in passes[0][len(HELP_ARGVS) :])
     assert run(capsys, "mul", "348", "697", "--trace") == first
+
+
+def test_bench_sizes_have_an_upper_bound(capsys, monkeypatch):
+    def unavailable(*args):
+        raise AssertionError("an out-of-range --sizes must be rejected before any trial")
+
+    monkeypatch.setattr(cli.bench_mod, "run_bench", lambda sizes, trials, seed, methods: [])
+    code, _, err = run(capsys, "bench", "--sizes", str(MAX_BENCH_SIZE), "--trials", "1", "--methods", "cross")
+    assert (code, err) == (0, "")
+    monkeypatch.setattr(cli.bench_mod, "run_bench", unavailable)
+    for sizes in ([MAX_BENCH_SIZE + 1], [4, 300000000], [300000000, MAX_BENCH_SIZE + 1, 8]):
+        code, out, err = run(capsys, "bench", "--sizes", *map(str, sizes), "--trials", "1", "--methods", "cross")
+        assert (code, out) == (1, "")
+        assert err == f"plumcalc: error: --sizes must be at most {MAX_BENCH_SIZE}, got {max(sizes)}\n"
 
 
 def test_bench_defaults_are_immutable():

@@ -165,6 +165,57 @@ def test_division_terms_are_pinned(a, b, method):
         assert pp0_wedge(ds(b), c[: n - 1], n)[1] == wedge_terms
 
 
+# Every field of every step but ``division``, as (index, digit, interim, pp0,
+# after_pp0, quotient_digit, pp1, remainder); recorded while ``divmod`` still
+# built the steps itself, so that building them on first read shows no change.
+PINNED_STEPS = {
+    (56789, 369, "plum"): [
+        (1, 5, 5, 0, 5, 1, 4, 1),
+        (2, 6, 16, -3, 19, 5, 18, 1),
+        (3, 7, 17, 4, 13, 3, 11, 2),
+        (4, 8, 28, -4, 32, None, None, 32),
+        (5, 9, 329, -3, 332, None, None, 332),
+    ],
+    (2728018, 3456, "plum"): [
+        (1, 2, 2, 0, 2, 0, 0, 2),
+        (2, 7, 27, 0, 27, 7, 24, 3),
+        (3, 2, 32, 2, 30, 8, 27, 3),
+        (4, 8, 38, 5, 33, 9, 31, 2),
+        (5, 0, 20, 8, 12, None, None, 12),
+        (6, 1, 121, -1, 122, None, None, 122),
+        (7, 8, 1228, -6, 1234, None, None, 1234),
+    ],
+    (242558, 697, "wedge"): [
+        (1, 2, 2, 0, 2, 0, 0, 2),
+        (2, 4, 24, 0, 24, 3, 21, 3),
+        (3, 2, 32, -1, 33, 4, 28, 5),
+        (4, 5, 55, 0, 55, 8, 55, 0),
+        (5, 5, 5, 6, -1, None, None, -1),
+        (6, 8, -2, -4, 2, None, None, 2),
+    ],
+    (99999, 7, "wedge"): [
+        (1, 9, 9, 0, 9, 1, 7, 2),
+        (2, 9, 29, 0, 29, 4, 28, 1),
+        (3, 9, 19, 0, 19, 2, 14, 5),
+        (4, 9, 59, 0, 59, 8, 56, 3),
+        (5, 9, 39, 0, 39, 5, 35, 4),
+    ],
+}
+
+
+@pytest.mark.parametrize("a, b, method", list(PINNED_STEPS))
+def test_steps_are_built_on_first_read(a, b, method):
+    q, _, trace = plum_div.divmod(ds(a), ds(b), method)
+    assert "steps" not in trace.__dict__
+    assert trace.pp_reconstruction() == b * int(q)
+    assert "steps" not in trace.__dict__
+    steps = trace.steps
+    assert trace.__dict__["steps"] is steps and trace.steps is steps
+    fields = [(s.index, s.digit, s.interim, s.pp0, s.after_pp0, s.quotient_digit, s.pp1, s.remainder) for s in steps]
+    assert fields == PINNED_STEPS[a, b, method]
+    assert all(s.division == (method, ds(b), trace.quotient_digits) for s in steps)
+
+
 def test_divmod_worked_trace_56789_369():
     q, r, trace = plum_div.divmod(ds(56789), ds(369), "plum")
     assert (str(q), str(r)) == ("153", "332")
@@ -200,9 +251,11 @@ def test_divmod_allows_transiently_negative_remainders():
 
 
 def test_divmod_small_dividend():
-    q, r, trace = plum_div.divmod(ds(5), ds(369), "plum")
-    assert (str(q), str(r)) == ("0", "5")
-    assert trace.steps == ()
+    for a, b in ((5, 369), (0, 7), (5, 7), (368, 369), (99, 3456)):
+        for method in plum_div.DIV_METHODS:
+            q, r, trace = plum_div.divmod(ds(a), ds(b), method)
+            assert (str(q), str(r), trace.quotient_digits) == ("0", str(a), ())
+            assert trace.steps == ()
 
 
 def test_divmod_rejects_zero_divisor():
@@ -265,10 +318,15 @@ def test_step_recurrence_holds():
 
 
 def test_pp_reconstruction_identity():
-    for a, b in ((56789, 369), (2728018, 3456), (242558, 697), (5678900, 369), (99999, 7)):
+    # one-digit divisors and zero quotients included
+    cases = ((56789, 369), (2728018, 3456), (242558, 697), (5678900, 369), (99999, 7), (63, 9), (10**30 + 5, 3))
+    for a, b in (*cases, (int("58" * 1000), 7), (5, 7), (368, 369)):
         for method in ("plum", "wedge"):
             q, _, trace = plum_div.divmod(ds(a), ds(b), method)
-            assert trace.pp_reconstruction() == b * int(q)
+            assert trace.pp_reconstruction() == b * int(q) == b * (a // b)
+            assert "steps" not in trace.__dict__
+            s = len(trace.steps)
+            assert trace.pp_reconstruction() == sum((t.pp0 + (t.pp1 or 0)) * 10 ** (s - t.index) for t in trace.steps)
 
 
 def test_divmod_agrees_exhaustively_small():
@@ -290,14 +348,23 @@ def test_divmod_agrees_random_large(x, y, method):
     assert str(r) == str(x % y)
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(numerals(2048), numerals(1024).filter(bool), st.sampled_from(plum_div.DIV_METHODS))
 def test_divmod_agrees_at_scale(x, y, method):
     q, r, trace = plum_div.divmod(ds(x), ds(y), method)
     assert (int(q), int(r)) == divmod(x, y)
     assert trace.pp_reconstruction() == y * int(q)
+    assert "steps" not in trace.__dict__
     if trace.steps:
+        assert len(trace.steps) == len(str(x))
         assert trace.steps[-1].remainder == int(r)
+        prev = 0
+        for step in trace.steps:
+            assert step.interim == 10 * prev + step.digit
+            assert step.remainder == step.after_pp0 - (step.pp1 or 0) == step.interim - step.pp0 - (step.pp1 or 0)
+            prev = step.remainder
+    else:
+        assert q.is_zero
 
 
 divisors = st.one_of(
@@ -328,6 +395,7 @@ def test_division_terms_are_built_only_when_read():
     for method in plum_div.DIV_METHODS:
         q, _, trace = plum_div.divmod(ds(x), ds(y), method)
         assert int(q) == x // y
+        assert "steps" not in trace.__dict__
         assert all("pp0_terms" not in s.__dict__ and "pp1_terms" not in s.__dict__ for s in trace.steps)
         step = trace.steps[1]
         assert step.pp0_terms is step.pp0_terms
