@@ -20,13 +20,13 @@ Column conventions, 0-indexed from the most significant end:
 
 The kernel computes columns without visiting digit pairs one by one.  With
 ``P[k] = sum(a[i]*b[j])`` and ``C[k] = sum(J(a[i] ♣ b[j]))`` over ``i+j == k``,
-``a ♣ c == a*c - 10*J(a ♣ c)`` makes the residue sums ``P[k] - 10*C[k]``, so a
-wedge column is ``P[k-1] - 10*C[k-1] + C[k]`` and a plum column is the wedge
-column one place lower, with the leading and trailing products as fixed
-corrections.  ``P`` is one convolution and ``C`` is one convolution per
-distinct multiplier digit; each convolution is a single big-integer product
-of operands packed one value per fixed-width byte slot (Kronecker
-substitution), and every slot stays non-negative because no residue is packed.
+``a ♣ c == a*c - 10*J(a ♣ c)`` makes a wedge column ``P[k-1] - 10*C[k-1] + C[k]``
+and a plum column the wedge column one place lower, with the leading and
+trailing products as fixed corrections.  Operands are packed one value per
+fixed-width byte slot into big integers (Kronecker substitution): ``P`` is one
+product and ``C`` one product per distinct multiplier digit.  Packed integers
+are exact whatever the slot width, so ``(P - 10*C)`` shifted one slot up plus
+``C`` holds every wedge column in its slots, and one signed unpack reads them.
 """
 
 from __future__ import annotations
@@ -122,7 +122,7 @@ def cross_sum(xs: list[int] | tuple[int, ...], ys: list[int] | tuple[int, ...]) 
 # ---------------------------------------------------------------------------
 # Column kernel
 
-_NATIVE_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"} if sys.byteorder == "little" else {}
+_SIGNED_FORMATS = {1: "b", 2: "h", 4: "i", 8: "q"} if sys.byteorder == "little" else {}
 
 # ``_CARRY_BYTES[d]`` maps a digit byte x to J(x ♣ d); ``_INDICATOR_BYTES[d]``
 # maps the byte d to 1 and every other byte to 0.  Both map 0 to 0 for d > 0,
@@ -147,41 +147,41 @@ def _slots(values: Sequence[int], width: int) -> bytes | bytearray:
 
 
 def _unslot(packed: int, count: int, width: int) -> list[int]:
-    """Inverse of :func:`_slots` for ``count`` non-negative slots of a packed product."""
-    raw = packed.to_bytes(count * width, "little")
-    if width in _NATIVE_FORMATS:
-        return memoryview(raw).cast(_NATIVE_FORMATS[width]).tolist()
-    return [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
+    """The ``count`` signed slots of ``packed``, each in ``[-2**(8*width-1), 2**(8*width-1))``.
+
+    Half a slot added to every slot makes each one non-negative, so no borrow
+    crosses a slot; xor-ing the half back leaves every slot in two's complement.
+    """
+    half = int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+    raw = ((packed + half) ^ half).to_bytes(count * width, "little")
+    if width in _SIGNED_FORMATS:
+        return memoryview(raw).cast(_SIGNED_FORMATS[width]).tolist()
+    return [int.from_bytes(raw[i : i + width], "little", signed=True) for i in range(0, len(raw), width)]
 
 
 def _convolve(xs: Sequence[int], ys: Sequence[int]) -> list[int]:
     """``sum(xs[i]*ys[j] for i+j == k)`` for every ``k``, by one packed product."""
-    width = _slot_width(max(xs) * max(ys) * min(len(xs), len(ys)))
+    width = _slot_width(2 * max(xs) * max(ys) * min(len(xs), len(ys)))
     packed = int.from_bytes(_slots(xs, width), "little") * int.from_bytes(_slots(ys, width), "little")
     return _unslot(packed, len(xs) + len(ys) - 1, width)
 
 
-def _carry_convolve(xs: tuple[int, ...], ys: tuple[int, ...]) -> list[int]:
-    """``sum(J(xs[i] ♣ ys[j]) for i+j == k)`` for every ``k``, split by multiplier digit.
+def _wedge_columns(xs: tuple[int, ...], ys: tuple[int, ...]) -> list[int]:
+    """Wedge columns ``P[k-1] - 10*C[k-1] + C[k]`` for ``k`` in ``0..m+n-1``.
 
-    For each distinct non-zero digit ``d`` of ``ys`` the carries of ``xs``
-    against ``d`` are convolved with the positions where ``ys`` holds ``d``;
-    the packed products are summed before one unpacking.
+    ``C`` sums, per distinct non-zero digit ``d`` of ``ys``, the carries of
+    ``xs`` against ``d`` times the places of ``d`` in ``ys``.  Packed sums are
+    exact at any width, so slots only hold the columns: ``|col| <= 11*(min(m, n) + 1)``.
     """
-    width = _slot_width(8 * min(len(xs), len(ys)))
+    width = _slot_width(22 * (min(len(xs), len(ys)) + 1))
     spread_x, spread_y = _slots(xs, width), _slots(ys, width)
-    packed = 0
+    products = int.from_bytes(spread_x, "little") * int.from_bytes(spread_y, "little")
+    carries = 0
     for d in set(ys) - {0}:
-        packed += int.from_bytes(spread_x.translate(_CARRY_BYTES[d]), "little") * int.from_bytes(
+        carries += int.from_bytes(spread_x.translate(_CARRY_BYTES[d]), "little") * int.from_bytes(
             spread_y.translate(_INDICATOR_BYTES[d]), "little"
         )
-    return _unslot(packed, len(xs) + len(ys) - 1, width)
-
-
-def _wedge_columns(xs: tuple[int, ...], ys: tuple[int, ...]) -> list[int]:
-    """Wedge columns ``P[k-1] - 10*C[k-1] + C[k]`` for ``k`` in ``0..m+n-1``."""
-    products, carries = _convolve(xs, ys), _carry_convolve(xs, ys)
-    return [p - 10 * c + c_next for p, c, c_next in zip([0, *products], [0, *carries], [*carries, 0])]
+    return _unslot(((products - 10 * carries) << 8 * width) + carries, len(xs) + len(ys), width)
 
 
 def _plum_columns(xs: tuple[int, ...], ys: tuple[int, ...]) -> list[int]:

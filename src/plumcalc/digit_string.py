@@ -24,6 +24,7 @@ __all__ = [
 ]
 
 _GROUP_SEPARATORS = " _"
+_NUMERAL_BYTES = bytes.maketrans(bytes(range(10)), b"0123456789")
 
 
 def _horner(values: Iterable[int], radix: int) -> int:
@@ -71,7 +72,7 @@ class DigitString:
         return _horner(self.digits, 10)
 
     def __str__(self) -> str:
-        return "".join(str(d) for d in self.digits)
+        return bytes(self.digits).translate(_NUMERAL_BYTES).decode("ascii")
 
     def __len__(self) -> int:
         return len(self.digits)

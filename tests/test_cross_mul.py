@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plumcalc import cross_mul, plum_div
 from plumcalc.bench import metrics_to_csv, run_bench
 from plumcalc.cross_mul import (
     MUL_METHODS,
@@ -15,6 +18,7 @@ from plumcalc.cross_mul import (
     wedge_mul,
     wedge_mul_single,
 )
+from plumcalc.digit_core import carry
 from plumcalc.digit_string import DigitString, normalize, parse, segment
 from plumcalc.trace import render_mul
 from strategies import numerals
@@ -272,6 +276,79 @@ def test_cross_slot_widths_across_byte_boundaries(length):
         )
         assert trace.signed.columns == expected
         assert int(product) == x * y
+
+
+# --- signed unpack: slot widths, extreme slots, the non-native path ---------
+
+
+def direct_wedge_column(xs, ys, k: int) -> int:
+    """``P[k-1] - 10*C[k-1] + C[k]`` from per-pair sums over the diagonals ``i + j == k``."""
+
+    def pair_sums(d):
+        pairs = [(xs[i], ys[d - i]) for i in range(max(0, d - len(ys) + 1), min(len(xs) - 1, d) + 1)]
+        return sum(x * y for x, y in pairs), sum(carry(x, y) for x, y in pairs)
+
+    (p, c), (_, c_next) = pair_sums(k - 1), pair_sums(k)
+    return p - 10 * c + c_next
+
+
+def kernel_operands(m: int, n: int):
+    """All-nines, all-twos (residue -6 on every pair) and mixed ``m`` by ``n`` digit operands."""
+    rng = random.Random(m * 7919 + n)
+
+    def mixed(length):
+        return (rng.randint(1, 9),) + tuple(rng.randint(0, 9) for _ in range(length - 1))
+
+    return [((9,) * m, (9,) * n), ((2,) * m, (2,) * n), (mixed(m), mixed(n)), ((9,) * m, mixed(n))]
+
+
+def test_wedge_columns_every_column_up_to_40_digits():
+    # min(m, n) = 10 packs one byte a slot and 11 two; all-nines columns pass
+    # 127 from about 15 digits, so a slot width below the column bound fails
+    for size in range(1, 41):
+        for m, n in ((size, size), (size, 37), (37, size)):
+            for xs, ys in kernel_operands(m, n):
+                expected = [direct_wedge_column(xs, ys, k) for k in range(m + n)]
+                assert cross_mul._wedge_columns(xs, ys) == expected, (xs, ys)
+
+
+@pytest.mark.parametrize("size", [2977, 2978, 2979])
+def test_wedge_columns_sampled_across_width_two_to_four(size):
+    # min(m, n) = 2977 packs two bytes a slot, 2978 and 2979 four
+    sampled = [0, 1, 2, size - 1, size, size + 1, 2 * size - 3, 2 * size - 2, 2 * size - 1]
+    for xs, ys in kernel_operands(size, size):
+        columns = cross_mul._wedge_columns(xs, ys)
+        assert len(columns) == 2 * size
+        assert [columns[k] for k in sampled] == [direct_wedge_column(xs, ys, k) for k in sampled]
+
+
+@pytest.mark.parametrize("width", [1, 2, 4, 8, 9])
+def test_unslot_reads_extreme_signed_slots(width):
+    low, high = -(2 ** (8 * width - 1)), 2 ** (8 * width - 1) - 1
+    values = [low, high, -1, 0, 1, high, low, low + 1, high - 1, -1, low]
+    packed = sum(v << (8 * width * k) for k, v in enumerate(values))
+    assert cross_mul._unslot(packed, len(values), width) == values
+
+
+def all_columns(a: DigitString, b: DigitString):
+    """Columns of every multiplication of ``a`` by ``b``, and of dividing ``a*b + 1`` by ``b``."""
+    columns = [method(a, b)[1].signed.columns for method in MUL_METHODS.values()]
+    columns += [rapid_mul(a, b, length)[1].signed.columns for length in (2, 3, 7)]
+    columns.append(wedge_mul_single(a, b[0])[1].signed.columns)
+    dividend = ds(int(wedge_mul(a, b)[0]) + 1)
+    for method in plum_div.DIV_METHODS:
+        q, r, trace = plum_div.divmod(dividend, b, method)
+        columns.append((q.digits, r.digits, trace._columns))
+    return columns
+
+
+def test_non_native_unpack_matches_native(monkeypatch):
+    operands = [(7, 8), (386, 47), (10**12 - 1, 10**11 - 1), (int("2" * 40), int("9" * 300))]
+    operands += [(int("31415926535897932384626433832795" * 94), int("27182818284590452353602874713527" * 94))]
+    operands = [(ds(x), ds(y)) for x, y in operands]
+    native = [all_columns(a, b) for a, b in operands]
+    monkeypatch.setattr(cross_mul, "_SIGNED_FORMATS", {})
+    assert [all_columns(a, b) for a, b in operands] == native
 
 
 # --- traces are built only when read ----------------------------------------

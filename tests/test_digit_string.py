@@ -48,6 +48,15 @@ def test_parse_format_round_trip(value):
     assert parse(str(ds)) == ds
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["0", "000", "7", "0070", "1234567890", "9" * 64, "10" * 320, "0" * 3 + "31415926535897932384" * 250],
+    ids=lambda s: f"{len(s)}d",
+)
+def test_str_round_trips_numerals(text):
+    assert str(parse(text)) == (text.lstrip("0") or "0")
+
+
 def test_segment_examples():
     ds = parse("123456")
     assert segment(ds, 2).segments == (12, 34, 56)
