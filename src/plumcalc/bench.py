@@ -87,9 +87,7 @@ def run_bench(
     for method in sorted(methods):
         single = method == "wedge_single"
         for size in sorted(sizes):
-            carry_count = 0
-            elapsed = 0
-            magnitudes: list[int] = []
+            carry_count = elapsed = col_sum = col_max = col_count = 0
             for trial in range(trials):
                 a = _random_digits(_seeded_rng(seed, method, size, trial, 0), size)
                 b = _random_digits(_seeded_rng(seed, method, size, trial, 1), 1 if single else size)
@@ -104,12 +102,14 @@ def run_bench(
                         f"oracle mismatch for {method} on {a} * {b}: got {product}, expected {expected}"
                     )
 
-                magnitudes += map(abs, trace.signed.columns)
+                magnitudes = [abs(col) for col in trace.signed.columns]
+                col_sum += sum(magnitudes)
+                col_max = max(col_max, *magnitudes)
+                col_count += len(magnitudes)
                 carry_count += normalize_stats(trace.signed, trace.radix_power)[1]
             mul_count = trials * _mul_count(method, size, 1 if single else size)
-            mean_abs = sum(magnitudes) / len(magnitudes)
             results.append(
-                BenchMetrics(method, size, trials, mul_count, carry_count, max(magnitudes), mean_abs, elapsed)
+                BenchMetrics(method, size, trials, mul_count, carry_count, col_max, col_sum / col_count, elapsed)
             )
     return results
 

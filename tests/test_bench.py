@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from plumcalc.bench import BENCH_METHODS, CSV_HEADER, BenchMetrics, metrics_to_csv, run_bench
@@ -34,6 +36,20 @@ def test_different_seed_changes_operands():
 def test_schoolbook_count_single_digit():
     metrics = run_bench(sizes=[1], trials=1, seed=0)
     assert {m.method: m.mul_count for m in metrics} == {"cross": 1, "plum": 1, "wedge": 4, "wedge_single": 4}
+
+
+def test_memory_does_not_grow_with_trials():
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            run_bench(sizes=[8], trials=trials, seed=1, methods=["cross"])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    run_bench(sizes=[8], trials=2, seed=1, methods=["cross"])  # warm caches outside the traced runs
+    # keeping every column of every trial would add about 45 KB between these two
+    assert peak(400) < peak(50) + 4096
 
 
 def test_wedge_single_columns_within_bounds():

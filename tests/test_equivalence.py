@@ -26,16 +26,25 @@ def test_broken_mul_method_fails_every_mul_sweep(monkeypatch):
 
 def test_wrong_remainder_is_recorded_as_remainders(monkeypatch):
     divmod_ = plum_div.divmod
+    calls = []
 
-    def off_by_one(a, b, method):
+    def off_by_one(a, b, method="plum"):
+        calls.append((int(a), int(b)))
         q, r, trace = divmod_(a, b, method)
         return q, DigitString.from_int(int(r) + 1), trace
 
     monkeypatch.setattr(plum_div, "divmod", off_by_one)
     monkeypatch.setattr(equivalence, "ONE_SIDED_DIVISORS", (7,))  # one divisor keeps the 10^4 sweep short
     reports = equivalence.verify_div_equivalence(limit=3, random_pairs=2, seed=7)
-    assert [len(r.violations) for r in reports] == [2 * 6, 2 * 10_000, 2 * 2]
+    cases = [6, 10_000, 2]
+    # plum and wedge division share one computation, so each case is one divmod call and one check
+    assert len(calls) == sum(cases)
+    assert [r.domain_size for r in reports] == cases
+    assert [len(r.violations) for r in reports] == cases
     for report in reports:
+        assert not report.holds
         for (x, y), expected, actual in report.violations:
             assert expected != actual
             assert (expected, actual) == (x % y, x % y + 1)
+    assert [inputs for inputs, _, _ in reports[0].violations] == [(x, y) for x in range(3) for y in (1, 2)]
+    assert [inputs for report in reports for inputs, _, _ in report.violations] == calls

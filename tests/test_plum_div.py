@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -330,11 +332,18 @@ def test_pp_reconstruction_identity():
 
 
 def test_divmod_agrees_exhaustively_small():
+    # divmod never branches on the method: the wedge trace is the plum trace
+    # retagged, which is why one equivalence check per case covers both
     for a in range(0, 160):
         for b in range(1, 60):
+            traces = {}
             for method in ("plum", "wedge"):
-                q, r, _ = plum_div.divmod(ds(a), ds(b), method)
+                q, r, traces[method] = plum_div.divmod(ds(a), ds(b), method)
                 assert (int(q), int(r)) == (a // b, a % b), (a, b, method)
+            plum, wedge = traces["plum"], traces["wedge"]
+            assert wedge == dataclasses.replace(plum, method="wedge"), (a, b)
+            for name in ("_columns", "steps", "remainder"):
+                assert getattr(wedge, name) == getattr(plum, name), (a, b, name)
 
 
 @settings(max_examples=150, deadline=None)
