@@ -34,7 +34,7 @@ from __future__ import annotations
 import operator
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .digit_core import _CARRY10, carry, clubsuit, wedge
@@ -146,13 +146,19 @@ def _slots(values: Sequence[int], width: int) -> bytes | bytearray:
     return spread
 
 
+@lru_cache(maxsize=32)
+def _half_slots(count: int, width: int) -> int:
+    """``2**(8*width-1)`` in each of ``count`` slots of ``width`` bytes."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+
+
 def _unslot(packed: int, count: int, width: int) -> list[int]:
     """The ``count`` signed slots of ``packed``, each in ``[-2**(8*width-1), 2**(8*width-1))``.
 
     Half a slot added to every slot makes each one non-negative, so no borrow
     crosses a slot; xor-ing the half back leaves every slot in two's complement.
     """
-    half = int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+    half = _half_slots(count, width)
     raw = ((packed + half) ^ half).to_bytes(count * width, "little")
     if width in _SIGNED_FORMATS:
         return memoryview(raw).cast(_SIGNED_FORMATS[width]).tolist()

@@ -5,12 +5,25 @@ non-negative integer.  A :class:`SignedDigitString` is a positional column
 sequence whose entries may be negative or exceed 9; it denotes
 ``sum(columns[i] * 10**(len-1-i))`` and is what the multiplication methods
 produce before carries are resolved.
+
+This module is the package's one radix-conversion layer, and no step of it is
+quadratic in Python operations.  Signed columns in any radix (:func:`_horner`)
+are evaluated in leaves of ``_LEAF`` values and the leaves joined pairwise by
+cached powers ``radix**(_LEAF * 2**j)``.  Digits and ``int`` meet through
+decimal text (:func:`_text_value`, :func:`_decimal_text`): blocks of at most
+``_BLOCK`` digits go through ``int``/``str`` and are joined or split by cached
+powers ``10**(_BLOCK * 2**j)`` (divide-and-conquer radix conversion, Knuth,
+TAOCP vol. 2, §4.4; Brent and Zimmermann, *Modern Computer Arithmetic*, §1.7).
+``_BLOCK`` is below 640, the smallest limit ``sys.set_int_max_str_digits``
+accepts, so numerals of any length convert under any limit.
 """
 
 from __future__ import annotations
 
+import builtins
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from functools import lru_cache
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "DigitString",
@@ -25,27 +38,71 @@ __all__ = [
 
 _GROUP_SEPARATORS = " _"
 _NUMERAL_BYTES = bytes.maketrans(bytes(range(10)), b"0123456789")
+_DIGIT_BYTES = bytes.maketrans(b"0123456789", bytes(range(10)))
+_LEAF = 16  # values per Horner leaf: a leaf of decimal digits stays below 10**16
+_BLOCK = 512  # digits per int/str call, below every int_max_str_digits limit
+_BLOCK_LIMIT = 10**_BLOCK
 
 
-def _horner(values: Iterable[int], radix: int) -> int:
-    """Value of ``values`` read most significant first as digits in ``radix``."""
-    total = 0
-    for v in values:
-        total = total * radix + v
-    return total
+@lru_cache(maxsize=128)
+def _power(radix: int, exponent: int) -> int:
+    """``radix**exponent``, kept for the exponents ``leaf * 2**j`` that the joins and splits use."""
+    return radix**exponent
 
 
-def _decimal_digits(value: int, count: int = 1) -> list[int]:
-    """Decimal digits of ``value >= 0``, most significant first, zero-padded to ``count``."""
-    digits = []
-    while True:
-        value, d = divmod(value, 10)
-        digits.append(d)
-        if not value:
-            break
-    digits.extend([0] * (count - len(digits)))
-    digits.reverse()
-    return digits
+def _split(length: int, leaf: int) -> int:
+    """Largest ``leaf * 2**j`` below ``length > leaf``: the size of the low part of a split."""
+    low = leaf
+    while 2 * low < length:
+        low *= 2
+    return low
+
+
+def _horner(values: Sequence[int], radix: int) -> int:
+    """Value of ``values`` (any sign) read most significant first as digits in ``radix``.
+
+    Up to ``_LEAF`` values are one Horner loop.  Longer sequences are split
+    into a high part and a low part of ``_LEAF * 2**j`` values, joined by a
+    cached power of ``radix``.
+    """
+    if len(values) <= _LEAF:
+        total = 0
+        for v in values:
+            total = total * radix + v
+        return total
+    low = _split(len(values), _LEAF)
+    return _horner(values[:-low], radix) * _power(radix, low) + _horner(values[-low:], radix)
+
+
+def _text_value(text: str | bytes) -> int:
+    """Value of a decimal numeral of any length, read in blocks of at most ``_BLOCK`` digits."""
+    if len(text) <= _BLOCK:
+        return int(text)
+    low = _split(len(text), _BLOCK)
+    return _text_value(text[:-low]) * _power(10, low) + _text_value(text[-low:])
+
+
+def _decimal_text(value: int, count: int = 1) -> str:
+    """Decimal numeral of ``value`` of any sign, zero-padded to ``count`` like ``str.zfill``.
+
+    A value beyond ``10**_BLOCK`` is split by the largest cached
+    ``10**(_BLOCK * 2**j)`` below it and each part converted in turn, so no
+    call of ``str`` sees more than ``_BLOCK`` digits.
+    """
+    if abs(value) < _BLOCK_LIMIT:
+        return str(value).zfill(count)
+    if value < 0:
+        return "-" + _decimal_text(-value, count - 1)
+    low = _BLOCK
+    while value >= _power(10, 2 * low):
+        low *= 2
+    high, rest = builtins.divmod(value, _power(10, low))
+    return _decimal_text(high, count - low) + _decimal_text(rest, low)
+
+
+def _decimal_digits(value: int, count: int = 1) -> bytes:
+    """Decimal digits of ``value >= 0`` as byte values, most significant first, zero-padded to ``count``."""
+    return _decimal_text(value, count).encode("ascii").translate(_DIGIT_BYTES)
 
 
 @dataclass(frozen=True)
@@ -69,7 +126,7 @@ class DigitString:
         return cls(tuple(_decimal_digits(value)))
 
     def __int__(self) -> int:
-        return _horner(self.digits, 10)
+        return _text_value(bytes(self.digits).translate(_NUMERAL_BYTES))
 
     def __str__(self) -> str:
         return bytes(self.digits).translate(_NUMERAL_BYTES).decode("ascii")
@@ -137,7 +194,7 @@ def parse(text: str) -> DigitString:
         raise ValueError(f"empty numeral: {text!r}")
     if not cleaned.isascii() or not cleaned.isdigit():
         raise ValueError(f"not a non-negative decimal numeral: {text!r}")
-    return DigitString(tuple(map(int, cleaned.lstrip("0") or "0")))
+    return DigitString(tuple((cleaned.lstrip("0") or "0").encode("ascii").translate(_DIGIT_BYTES)))
 
 
 def segment(ds: DigitString, length: int) -> SegmentString:
@@ -147,15 +204,15 @@ def segment(ds: DigitString, length: int) -> SegmentString:
     digits = ds.digits
     if length == 1:
         return SegmentString(length=1, segments=digits)
-    pad = (-len(digits)) % length
-    padded = (0,) * pad + digits
-    segments = tuple(_horner(padded[i : i + length], 10) for i in range(0, len(padded), length))
+    padded = bytes((-len(digits)) % length) + bytes(digits)
+    text = padded.translate(_NUMERAL_BYTES)
+    segments = tuple(_text_value(text[i : i + length]) for i in range(0, len(text), length))
     return SegmentString(length=length, segments=segments)
 
 
 def value_of(s: SignedDigitString | Iterable[int]) -> int:
     """Exact integer value of a signed column sequence (empty sum is 0)."""
-    return _horner(s.columns if isinstance(s, SignedDigitString) else s, 10)
+    return _horner(s.columns if isinstance(s, SignedDigitString) else tuple(s), 10)
 
 
 def normalize_stats(s: SignedDigitString, radix_power: int = 1) -> tuple[DigitString, int]:
@@ -182,7 +239,7 @@ def normalize_stats(s: SignedDigitString, radix_power: int = 1) -> tuple[DigitSt
     limbs.reverse()
     if radix_power > 1:
         limbs = [d for limb in limbs for d in _decimal_digits(limb, radix_power)]
-    digits = tuple(_decimal_digits(carry) + limbs)
+    digits = (*_decimal_digits(carry), *limbs)
     # strip to canonical form
     first = next((i for i, d in enumerate(digits) if d), len(digits) - 1)
     return DigitString(digits[first:]), carries

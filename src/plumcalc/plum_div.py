@@ -23,12 +23,17 @@ The partial remainders obey ``r[n] = 10*r[n-1] + a[n] - PP_n`` and may go
 negative between steps; only the final remainder is range-checked.  Quotient
 digits are the true long-division digits of a running remainder, so the trace
 reproduces each worked vertical layout and ``0 <= r < b`` is guaranteed.
+Those digits are the decimal digits of ``a // b``, zero-padded to ``s - t + 1``
+places, so ``divmod`` reads them off one ``int`` division instead of choosing
+them one at a time.
 
-``divmod`` builds no step and no term: it checks the remainder chain on the
-``PP_n`` alone and keeps ``W`` in the trace, which builds its ``steps`` from
-``W``, and each step its terms, when first read.  The terms are ``(kind, i, j,
-value)`` of divisor digits ``b[i]`` against quotient digits ``c[j]`` (0-indexed
-here) along one diagonal ``i + j``, from ``cross_mul._diagonal_terms``:
+``divmod`` builds no step and no term.  The chain's last remainder is
+``int(a) - sum(PP_n * 10**(s-n))``, so it checks the chain with one evaluation
+of the ``PP_n`` (:meth:`DivisionTrace.pp_reconstruction`) and keeps ``W`` in
+the trace, which builds its ``steps`` from ``W``, and each step its terms, when
+first read.  The terms are ``(kind, i, j, value)`` of divisor digits ``b[i]``
+against quotient digits ``c[j]`` (0-indexed here) along one diagonal ``i + j``,
+from ``cross_mul._diagonal_terms``:
 
 * plum ``pp0``: residues on ``i + j == n-1`` with ``i >= 1``, and carries on
   ``i + j == n`` with ``i >= 2``;
@@ -41,14 +46,13 @@ here) along one diagonal ``i + j``, from ``cross_mul._diagonal_terms``:
 from __future__ import annotations
 
 import builtins
-import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, Sequence
 
 from .cross_mul import Term, _diagonal_terms, _wedge_columns
 from .digit_core import carry
-from .digit_string import DigitString, _horner
+from .digit_string import DigitString, _decimal_digits, _decimal_text, _horner
 
 __all__ = ["DivisionStep", "DivisionTrace", "pp0_plum", "pp0_wedge", "pp1", "divmod", "div_decimal", "DIV_METHODS"]
 
@@ -123,10 +127,12 @@ class DivisionTrace:
         """``sum(PP_n * 10**(s-n))`` over the steps ``1..s``; equals divisor * quotient."""
         return _horner(self._partial_products(), 10)
 
-    def _partial_products(self) -> Iterator[int]:
+    def _partial_products(self) -> list[int]:
         """``PP_n = pp0 + pp1``: ``W[n-1] + b[1]*c[n]``, then ``W[n-1]`` past the quotient."""
-        lead, c, columns = self.divisor.digits[0], self.quotient_digits, self._columns
-        return map(operator.add, columns, [lead * d for d in c] + [0] * (len(columns) - len(c)))
+        lead, products = self.divisor.digits[0], list(self._columns)
+        for n, d in enumerate(self.quotient_digits):
+            products[n] += lead * d
+        return products
 
     def _remainders(self) -> Iterator[int]:
         """``r[n] = 10*r[n-1] + a[n] - PP_n`` of every step ``n``."""
@@ -168,34 +174,36 @@ DIV_METHODS = tuple(_PP0)
 def divmod(a: DigitString, b: DigitString, method: str = "plum") -> tuple[DigitString, DigitString, DivisionTrace]:
     """Divide ``a`` by ``b``, returning quotient, remainder, and the full trace.
 
-    Quotient digits come from schoolbook long division: a running remainder
+    Quotient digits are those of schoolbook long division: a running remainder
     starts as the first ``t - 1`` dividend digits and brings down one more per
     quotient digit, so the quotient has exactly ``s - t + 1`` digits (a leading
-    zero is allowed).  The partial-remainder chain, read off one column-kernel
-    call, must end at the running remainder; no step is built until read.
+    zero is allowed).  They are read off one ``int`` division, since
+    ``a < 10**s`` and ``b >= 10**(t-1)`` give ``a // b < 10**(s-t+1)``.  The
+    partial-remainder chain, read off one column-kernel call, must end at the
+    same remainder: ``int(a) - pp_reconstruction()`` is its last link.  No step
+    is built until read.
     """
     if method not in _PP0:
         raise ValueError(f"unknown division method {method!r}; expected one of {DIV_METHODS}")
     if b.is_zero:
         raise ZeroDivisionError("division by zero")
     s, t = len(a), len(b)
-    divisor = int(b)
-    window = _horner(a.digits[: t - 1], 10)
-    c = []
-    for digit in a.digits[t - 1 :]:
-        c_n, window = builtins.divmod(10 * window + digit, divisor)
-        c.append(c_n)
-    c = tuple(c)
-    if not any(c):
+    dividend = int(a)
+    q, r = builtins.divmod(dividend, int(b))
+    if not q:
         quotient = DigitString((0,))
         return quotient, a, DivisionTrace(method, a, b, quotient, (), a, ())
+    c = tuple(_decimal_digits(q, s - t + 1))
     columns = tuple(_wedge_columns(b.digits[1:], c)) if t > 1 else (0,) * s
-    quotient = DigitString(c[next(i for i, d in enumerate(c) if d) :])
-    trace = DivisionTrace(method, a, b, quotient, c, DigitString.from_int(window), columns)
-    for r in trace._remainders():
-        pass
-    if r != window:
-        raise RuntimeError(f"{method} division of {a} by {b}: partial remainder chain diverged: {r} vs {window}")
+    # a >= 10**(s-1) and b < 10**t, so q has at least s - t digits: c has at most one leading zero
+    quotient = DigitString(c[1:] if c[0] == 0 else c)
+    trace = DivisionTrace(method, a, b, quotient, c, DigitString.from_int(r), columns)
+    chain = dividend - trace.pp_reconstruction()
+    if chain != r:
+        raise RuntimeError(
+            f"{method} division of {a} by {b}: partial remainder chain diverged: "
+            f"{_decimal_text(chain)} vs {_decimal_text(r)}"
+        )
     return quotient, trace.remainder, trace
 
 

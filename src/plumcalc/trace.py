@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cross_mul import MulTrace, Term, _term_operands
+from .digit_string import _decimal_text
 from .plum_div import DivisionTrace
 
 __all__ = ["RenderedTrace", "render_mul", "render_div"]
@@ -85,9 +86,8 @@ def render_div(trace: DivisionTrace, ascii_only: bool = False) -> RenderedTrace:
     margin = len(prefix)
 
     def at(value: int | str, step_index: int) -> str:
-        text = str(value)
-        end = margin + step_index  # column of dividend digit step_index (0-based)
-        return " " * (end - len(text) + 1) + text
+        text = value if isinstance(value, str) else _decimal_text(value)
+        return text.rjust(margin + step_index + 1)  # ends under dividend digit step_index (0-based)
 
     lines: list[str] = []
     first_nonzero = next(

@@ -6,10 +6,13 @@ import random
 
 from hypothesis import strategies as st
 
+from int_limits import int_digit_limit
+
 
 def _numeral(length: int, alphabet: str, seed: int) -> int:
     rng = random.Random(seed)
-    return int("".join(rng.choice(alphabet) for _ in range(length)))
+    with int_digit_limit(0):
+        return int("".join(rng.choice(alphabet) for _ in range(length)))
 
 
 def numerals(max_digits: int):

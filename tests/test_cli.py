@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+
+from int_limits import int_digit_limit
 from plumcalc import cli
 from plumcalc.bench import BENCH_METHODS
 from plumcalc.cli import MAX_BENCH_SIZE, MAX_DECIMALS, MAX_LIMIT, MAX_SEGMENT, main
@@ -152,6 +155,20 @@ def test_div_trace(capsys):
     assert code == 0
     assert "697 ) 242558" in out
     assert out.rstrip().endswith("348 r 2")
+
+
+def test_div_trace_past_the_int_string_limit(capsys):
+    # 4400 over 4390 digits: the tableau's partial remainders have more digits than the default limit
+    rng = random.Random(4400)
+    a = "9" + "".join(rng.choice("0123456789") for _ in range(4399))
+    b = "1" + "".join(rng.choice("0123456789") for _ in range(4389))
+    with int_digit_limit(4300):
+        code, out, err = run(capsys, "div", a, b, "--trace")
+    assert (code, err) == (0, "")
+    with int_digit_limit(0):
+        q, r = divmod(int(a), int(b))
+        assert out.endswith(f"\n{q} r {r}\n")
+        assert out.splitlines()[-2].strip() == str(r)
 
 
 def test_div_by_zero_exits_2(capsys):

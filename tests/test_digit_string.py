@@ -2,20 +2,28 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from int_limits import int_digit_limit
 from plumcalc.digit_string import (
+    _NUMERAL_BYTES,
     DigitString,
     SegmentString,
     SignedDigitString,
+    _decimal_digits,
+    _decimal_text,
+    _horner,
     normalize,
     normalize_stats,
     parse,
     segment,
     value_of,
 )
+from strategies import numerals
 
 
 def test_parse_examples():
@@ -140,3 +148,86 @@ def test_segment_string_validation():
         SegmentString(0, (1,))
     with pytest.raises(ValueError):
         SegmentString(2, (100,))
+
+
+# ---------------------------------------------------------------------------
+# Radix conversion, against int(str) and str(int) with the limit lifted
+
+# 1, the Horner leaf (16) and the int/str block (512) and their doubles, each +-1
+EDGE_LENGTHS = (1, 2, 15, 16, 17, 31, 32, 33, 511, 512, 513, 1023, 1024, 1025, 20000)
+
+
+def horner_reference(values, radix):
+    total = 0
+    for v in values:
+        total = total * radix + v
+    return total
+
+
+def numeral_texts(length: int, seed: int) -> list[str]:
+    """Random digits, a power of ten and all nines, each ``length`` digits long."""
+    rng = random.Random(seed)
+    random_text = str(rng.randint(1, 9)) + "".join(rng.choice("0123456789") for _ in range(length - 1))
+    return [random_text, "1" + "0" * (length - 1), "9" * length]
+
+
+@pytest.mark.parametrize("length", EDGE_LENGTHS)
+@pytest.mark.parametrize("radix", [10, 10**3])
+def test_horner_matches_the_plain_loop_on_signed_values(length, radix):
+    rng = random.Random(length * radix)
+    bound = 11 * radix
+    values = tuple(rng.randint(-bound, bound) for _ in range(length))
+    assert _horner(values, radix) == horner_reference(values, radix)
+    assert _horner(list(values), radix) == horner_reference(values, radix)
+    assert _horner((), radix) == 0
+
+
+@pytest.mark.parametrize("length", EDGE_LENGTHS)
+def test_digit_conversions_match_int_and_str(length):
+    for text in numeral_texts(length, length):
+        with int_digit_limit(0):
+            value = int(text)
+        ds = parse(text)
+        assert int(ds) == value
+        assert _horner(ds.digits, 10) == value
+        assert DigitString.from_int(value) == ds
+        assert _decimal_text(value) == text
+        assert _decimal_text(-value) == "-" + text
+        for count in (length - 1, length, length + 1, length + 600):
+            assert _decimal_digits(value, count).translate(_NUMERAL_BYTES).decode() == text.zfill(count)
+    assert _decimal_digits(0, length) == bytes(length)
+
+
+@pytest.mark.parametrize("length", [2, 3, 16, 511, 512, 513, 1025])
+def test_segment_matches_int_of_each_chunk(length):
+    text = numeral_texts(3 * length + 1, length)[0]
+    padded = text.zfill(-(-len(text) // length) * length)
+    with int_digit_limit(0):
+        expected = tuple(int(padded[i : i + length]) for i in range(0, len(padded), length))
+        value = int(text)
+    segments = segment(parse(text), length)
+    assert segments.segments == expected
+    assert segments.value() == value
+
+
+@settings(max_examples=60, deadline=None)
+@given(numerals(3000), st.integers(0, 3100))
+def test_conversions_round_trip_property(value, count):
+    with int_digit_limit(0):
+        text = str(value)
+    assert _decimal_text(value, count) == text.zfill(count)
+    assert DigitString.from_int(value) == parse(text)
+    assert int(parse(text)) == value
+
+
+def test_conversions_stay_below_the_smallest_int_string_limit():
+    # 640 is the smallest limit the interpreter accepts; every int/str call is a block of at most 512 digits
+    texts = numeral_texts(20000, 7)
+    with int_digit_limit(0):
+        values = [int(text) for text in texts]
+    with int_digit_limit(640):
+        for text, value in zip(texts, values):
+            assert int(parse(text)) == value
+            assert str(DigitString.from_int(value)) == text
+            assert _decimal_text(-value) == "-" + text
+            assert segment(parse(text), 700).value() == value

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import dataclasses
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from int_limits import int_digit_limit
 from plumcalc import plum_div
-from plumcalc.digit_string import DigitString
+from plumcalc.digit_string import DigitString, parse
 from plumcalc.plum_div import div_decimal, pp0_plum, pp0_wedge, pp1
 from strategies import numerals
 
@@ -302,6 +304,18 @@ def test_divergence_error_names_method_and_operands(monkeypatch):
     for method in plum_div.DIV_METHODS:
         with pytest.raises(RuntimeError, match=f"^{method} division of 56789 by 369: partial remainder chain diverged"):
             plum_div.divmod(ds(56789), ds(369), method)
+    # operands and remainders far past the interpreter's int/str limit still give the message
+    rng = random.Random(12)
+    a = "".join(rng.choice("123456789") for _ in range(10**4))
+    b = "".join(rng.choice("123456789") for _ in range(5 * 10**3))
+    with pytest.raises(RuntimeError) as excinfo, int_digit_limit(4300):
+        plum_div.divmod(parse(a), parse(b), "plum")
+    message = str(excinfo.value)
+    assert message.startswith(f"plum division of {a} by {b}: partial remainder chain diverged: ")
+    chain, remainder = message.rsplit(": ", 1)[1].split(" vs ")
+    with int_digit_limit(0):
+        assert int(remainder) == int(a) % int(b)
+        assert int(chain) - int(remainder) == -(10 ** (10**4 - 2))  # column 1 weighs 10**(s-2)
 
 
 def test_step_recurrence_holds():
@@ -322,7 +336,9 @@ def test_step_recurrence_holds():
 def test_pp_reconstruction_identity():
     # one-digit divisors and zero quotients included
     cases = ((56789, 369), (2728018, 3456), (242558, 697), (5678900, 369), (99999, 7), (63, 9), (10**30 + 5, 3))
-    for a, b in (*cases, (int("58" * 1000), 7), (5, 7), (368, 369)):
+    with int_digit_limit(0):
+        long_dividend = int("58" * 1000)
+    for a, b in (*cases, (long_dividend, 7), (5, 7), (368, 369)):
         for method in ("plum", "wedge"):
             q, _, trace = plum_div.divmod(ds(a), ds(b), method)
             assert trace.pp_reconstruction() == b * int(q) == b * (a // b)
@@ -365,7 +381,8 @@ def test_divmod_agrees_at_scale(x, y, method):
     assert trace.pp_reconstruction() == y * int(q)
     assert "steps" not in trace.__dict__
     if trace.steps:
-        assert len(trace.steps) == len(str(x))
+        with int_digit_limit(0):
+            assert len(trace.steps) == len(str(x))
         assert trace.steps[-1].remainder == int(r)
         prev = 0
         for step in trace.steps:
@@ -400,7 +417,8 @@ def test_step_values_match_the_partial_product_functions(x, y, method):
 
 
 def test_division_terms_are_built_only_when_read():
-    x, y = int("7" * 2048), int("3" + "1" * 1023)
+    with int_digit_limit(0):
+        x, y = int("7" * 2048), int("3" + "1" * 1023)
     for method in plum_div.DIV_METHODS:
         q, _, trace = plum_div.divmod(ds(x), ds(y), method)
         assert int(q) == x // y
@@ -435,3 +453,21 @@ def test_div_decimal_rejects_bad_arguments():
     with pytest.raises(ZeroDivisionError):
         div_decimal(ds(1), ds(0), 2)
 
+
+
+def test_long_division_under_the_smallest_int_string_limit():
+    # every conversion divmod makes reads or writes blocks of at most 512 digits
+    rng = random.Random(5000)
+    a = "7" + "".join(rng.choice("0123456789") for _ in range(4999))
+    b = "4" + "".join(rng.choice("0123456789") for _ in range(2499))
+    with int_digit_limit(0):
+        expected_q, expected_r = divmod(int(a), int(b))
+    for method in plum_div.DIV_METHODS:
+        with int_digit_limit(640):
+            q, r, trace = plum_div.divmod(parse(a), parse(b), method)
+            chain = trace.pp_reconstruction()
+            steps = trace.steps
+        with int_digit_limit(0):
+            assert (int(q), int(r)) == (expected_q, expected_r)
+            assert chain == int(b) * expected_q
+        assert len(trace.quotient_digits) == 2501 and steps[-1].remainder == expected_r

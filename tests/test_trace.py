@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import random
 import re
 
+from int_limits import int_digit_limit
 from plumcalc import plum_div
 from plumcalc.cross_mul import plum_mul, rapid_mul, wedge_mul, wedge_mul_single
 from plumcalc.digit_string import DigitString, parse
@@ -179,3 +181,25 @@ def test_rendered_numbers_match_trace_fields():
         if step.pp1 is not None:
             step_values.add(step.pp1)
     assert set(rendered_ints) <= step_values
+
+
+def test_render_div_past_the_int_string_limit():
+    # 4400 over 4390 digits: 11 quotient digits, and partial remainders longer than the default limit
+    rng = random.Random(4400)
+    a = "9" + "".join(rng.choice("0123456789") for _ in range(4399))
+    b = "1" + "".join(rng.choice("0123456789") for _ in range(4389))
+    _, _, trace = plum_div.divmod(parse(a), parse(b), "plum")
+    with int_digit_limit(4300):  # the interpreter's default
+        rendered = render_div(trace)
+    margin = len(f"{b} ) ")
+    expected_lines = [rendered.lines[0], f"{b} ) {a}"]
+    first = next(s.index for s in trace.steps if s.quotient_digit not in (None, 0))
+    with int_digit_limit(0):
+        for step in trace.steps[first - 1 :]:
+            values = [step.interim, step.pp0, step.after_pp0] if step.index > first else []
+            values += [step.pp1, step.remainder] if step.pp1 is not None else []
+            expected_lines += [str(v).rjust(margin + step.index) for v in values]
+        assert list(rendered.lines) == expected_lines
+        assert int(rendered.lines[-1]) == int(a) % int(b)
+    assert rendered.lines[0].strip() == str(trace.quotient)
+    assert len(trace.quotient_digits) == 11
