@@ -133,8 +133,14 @@ _INDICATOR_BYTES = tuple(bytes(d) + b"\x01" + bytes(255 - d) for d in range(10))
 
 def _slot_width(bound: int) -> int:
     """Bytes per packed slot for values up to ``bound``; 1, 2, 4 or 8 when they suffice."""
-    need = max(1, (bound.bit_length() + 7) // 8)
-    return next((w for w in (1, 2, 4, 8) if w >= need), need)
+    need = (bound.bit_length() + 7) // 8
+    if need <= 2:
+        return need or 1
+    if need <= 4:
+        return 4
+    if need <= 8:
+        return 8
+    return need
 
 
 def _slots(values: Sequence[int], width: int) -> bytes | bytearray:
@@ -204,7 +210,10 @@ def _plum_columns(xs: tuple[int, ...], ys: tuple[int, ...]) -> list[int]:
 
 def _cross_operands(a: DigitString, b: DigitString, seg_len: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Segments of both operands, the one with more segments first."""
-    sa, sb = segment(a, seg_len).segments, segment(b, seg_len).segments
+    if seg_len == 1:  # the digits themselves, already checked by ``DigitString``
+        sa, sb = a.digits, b.digits
+    else:
+        sa, sb = segment(a, seg_len).segments, segment(b, seg_len).segments
     return (sa, sb) if len(sa) >= len(sb) else (sb, sa)
 
 

@@ -39,6 +39,7 @@ __all__ = [
 _GROUP_SEPARATORS = " _"
 _NUMERAL_BYTES = bytes.maketrans(bytes(range(10)), b"0123456789")
 _DIGIT_BYTES = bytes.maketrans(b"0123456789", bytes(range(10)))
+_DIGIT_VALUES = bytes(range(10))
 _LEAF = 16  # values per Horner leaf: a leaf of decimal digits stays below 10**16
 _BLOCK = 512  # digits per int/str call, below every int_max_str_digits limit
 _BLOCK_LIMIT = 10**_BLOCK
@@ -114,7 +115,11 @@ class DigitString:
     def __post_init__(self) -> None:
         if not self.digits:
             raise ValueError("digit string must not be empty")
-        if min(self.digits) < 0 or max(self.digits) > 9:
+        try:
+            stray = bytes(self.digits).translate(None, _DIGIT_VALUES)
+        except (TypeError, ValueError):  # a non-integer, or an integer outside 0..255
+            stray = True
+        if stray:
             raise ValueError(f"digits must lie in 0..9: {self.digits}")
         if len(self.digits) > 1 and self.digits[0] == 0:
             raise ValueError(f"leading zero in digit string: {self.digits}")
@@ -161,7 +166,7 @@ class SignedDigitString:
         return iter(self.columns)
 
     def __str__(self) -> str:
-        return "(" + ",".join(str(c) for c in self.columns) + ")"
+        return "(" + ",".join(map(_decimal_text, self.columns)) + ")"
 
 
 @dataclass(frozen=True)
@@ -237,12 +242,15 @@ def normalize_stats(s: SignedDigitString, radix_power: int = 1) -> tuple[DigitSt
     if carry < 0:
         raise ValueError("signed digit string has negative total value")
     limbs.reverse()
-    if radix_power > 1:
-        limbs = [d for limb in limbs for d in _decimal_digits(limb, radix_power)]
-    digits = (*_decimal_digits(carry), *limbs)
-    # strip to canonical form
-    first = next((i for i, d in enumerate(digits) if d), len(digits) - 1)
-    return DigitString(digits[first:]), carries
+    if radix_power == 1:
+        digits = bytes(limbs)
+    elif radix_power <= _BLOCK:
+        digits = (f"%0{radix_power}d" * len(limbs) % tuple(limbs)).encode("ascii").translate(_DIGIT_BYTES)
+    else:  # a limb longer than a block goes through ``_decimal_text``, which splits it
+        digits = b"".join(_decimal_digits(limb, radix_power) for limb in limbs)
+    if carry:
+        digits = _decimal_digits(carry) + digits
+    return DigitString(tuple(digits.lstrip(b"\0") or b"\0")), carries
 
 
 def normalize(s: SignedDigitString, radix_power: int = 1) -> DigitString:

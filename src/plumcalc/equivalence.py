@@ -37,8 +37,10 @@ ONE_SIDED_MULTIPLIERS = (1, 7, 99, 9999)
 ONE_SIDED_DIVISORS = (1, 7, 99, 369, 3456)
 RANDOM_MAX_DIGITS = 64  # longest random factor or dividend; random divisors get half
 
+# One operand: its digit string and the oracle's number, built from the same digits once.
+_Operand = tuple[DigitString, Nat]
 # One sweep case: a check, then the two operands it is run on.
-_Case = tuple[Callable[..., int], DigitString, "DigitString | int"]
+_Case = tuple[Callable[..., int], _Operand, "_Operand | int"]
 
 
 def _seeded_rng(seed: int, *labels: int | str) -> random.Random:
@@ -58,6 +60,10 @@ def random_digit_string(rng: random.Random, max_digits: int) -> DigitString:
     return _random_digits(rng, rng.randint(1, max_digits))
 
 
+def _operand(a: DigitString) -> _Operand:
+    return a, Nat.from_digits(a.digits)
+
+
 def _sweep(law: str, detail: str, cases: Iterable[_Case]) -> LawReport:
     """Run every case, summing the counts its check returns, into one report."""
     violations: list = []
@@ -69,9 +75,9 @@ def _sweep(law: str, detail: str, cases: Iterable[_Case]) -> LawReport:
 
 def _one_sided(check: Callable[..., int], others: tuple[int, ...]) -> Iterator[_Case]:
     """Every value below 10**4 against each of ``others``, built as it is needed."""
-    fixed = [DigitString.from_int(v) for v in others]
+    fixed = [_operand(DigitString.from_int(v)) for v in others]
     for av in range(10_000):
-        a = DigitString.from_int(av)
+        a = _operand(DigitString.from_int(av))
         for b in fixed:
             yield check, a, b
 
@@ -103,26 +109,28 @@ def verify_mul_equivalence(
     ]
 
 
-def _mul_check(violations: list, a: DigitString, b: DigitString) -> int:
-    expected = str(o_mul(Nat.from_digits(a.digits), Nat.from_digits(b.digits)))
-    expected_int = int(expected)
+def _mul_check(violations: list, x: _Operand, y: _Operand) -> int:
+    (a, a_nat), (b, b_nat) = x, y
+    expected = o_mul(a_nat, b_nat)
+    expected_digits, expected_int = expected.to_digits(), expected.to_int()
     for method in MUL_METHODS.values():
         product, trace = method(a, b)
-        if str(product) != expected or trace.column_value() != expected_int:
+        if product.digits != expected_digits or trace.column_value() != expected_int:
             violations.append(((int(a), int(b)), expected_int, int(product)))
     return len(MUL_METHODS)
 
 
-def _mul_single_check(violations: list, a: DigitString, c: int) -> int:
+def _mul_single_check(violations: list, x: _Operand, c: int) -> int:
+    a, a_nat = x
     product, _ = wedge_mul_single(a, c)
-    expected = o_mul(Nat.from_digits(a.digits), Nat.from_int(c))
-    if str(product) != str(expected):
+    expected = o_mul(a_nat, Nat.from_int(c))
+    if product.digits != expected.to_digits():
         violations.append(((int(a), c), expected.to_int(), int(product)))
     return 1
 
 
 def _mul_box(limit: int) -> Iterator[_Case]:
-    values = [DigitString.from_int(v) for v in range(limit)]
+    values = [_operand(DigitString.from_int(v)) for v in range(limit)]
     for a in values:
         for b in values:
             yield _mul_check, a, b
@@ -133,8 +141,8 @@ def _mul_box(limit: int) -> Iterator[_Case]:
 def _mul_random(random_pairs: int, seed: int) -> Iterator[_Case]:
     for trial in range(random_pairs):
         rng = _seeded_rng(seed, "mul", trial)
-        a = random_digit_string(rng, RANDOM_MAX_DIGITS)
-        b = random_digit_string(rng, RANDOM_MAX_DIGITS)
+        a = _operand(random_digit_string(rng, RANDOM_MAX_DIGITS))
+        b = _operand(random_digit_string(rng, RANDOM_MAX_DIGITS))
         yield _mul_check, a, b
         yield _mul_single_check, a, rng.randint(0, 9)
 
@@ -164,21 +172,21 @@ def verify_div_equivalence(
     ]
 
 
-def _div_check(violations: list, a: DigitString, b: DigitString) -> int:
-    expected_q, expected_r = o_divmod(Nat.from_digits(a.digits), Nat.from_digits(b.digits))
-    eq, er = str(expected_q), str(expected_r)
+def _div_check(violations: list, x: _Operand, y: _Operand) -> int:
+    (a, a_nat), (b, b_nat) = x, y
+    expected_q, expected_r = o_divmod(a_nat, b_nat)
     q, r, trace = plum_div.divmod(a, b)
-    if str(q) != eq:
-        violations.append(((int(a), int(b)), int(eq), int(q)))
-    elif str(r) != er:
-        violations.append(((int(a), int(b)), int(er), int(r)))
+    if q.digits != expected_q.to_digits():
+        violations.append(((int(a), int(b)), expected_q.to_int(), int(q)))
+    elif r.digits != expected_r.to_digits():
+        violations.append(((int(a), int(b)), expected_r.to_int(), int(r)))
     elif trace.pp_reconstruction() != int(b) * int(q):
         violations.append(((int(a), int(b)), int(b) * int(q), trace.pp_reconstruction()))
     return 1
 
 
 def _div_box(limit: int) -> Iterator[_Case]:
-    values = [DigitString.from_int(v) for v in range(limit)]
+    values = [_operand(DigitString.from_int(v)) for v in range(limit)]
     for a in values:
         for b in values[1:]:
             yield _div_check, a, b
@@ -187,6 +195,6 @@ def _div_box(limit: int) -> Iterator[_Case]:
 def _div_random(random_pairs: int, seed: int) -> Iterator[_Case]:
     for trial in range(random_pairs):
         rng = _seeded_rng(seed, "div", trial)
-        a = random_digit_string(rng, RANDOM_MAX_DIGITS)
-        b = random_digit_string(rng, RANDOM_MAX_DIGITS // 2)
+        a = _operand(random_digit_string(rng, RANDOM_MAX_DIGITS))
+        b = _operand(random_digit_string(rng, RANDOM_MAX_DIGITS // 2))
         yield _div_check, a, b

@@ -124,8 +124,14 @@ class DivisionTrace:
         return tuple(steps)
 
     def pp_reconstruction(self) -> int:
-        """``sum(PP_n * 10**(s-n))`` over the steps ``1..s``; equals divisor * quotient."""
-        return _horner(self._partial_products(), 10)
+        """``sum(PP_n * 10**(s-n))`` over the steps ``1..s``; equals divisor * quotient.
+
+        By linearity this is ``_horner(W) + b[1] * q * 10**(t-1)``: the ``b[1]*c[n]``
+        parts of the ``PP_n`` sum to ``b[1]`` times the quotient, whose last digit
+        ``c[s-t+1]`` has weight ``10**(t-1)``.
+        """
+        b = self.divisor.digits
+        return _horner(self._columns, 10) + b[0] * int(self.quotient) * 10 ** (len(b) - 1)
 
     def _partial_products(self) -> list[int]:
         """``PP_n = pp0 + pp1``: ``W[n-1] + b[1]*c[n]``, then ``W[n-1]`` past the quotient."""

@@ -51,7 +51,8 @@ def _mul_term_text(term: Term, xs: tuple[int, ...], ys: tuple[int, ...], symbols
         return f"ones({x}{times}{y})={term.value}"
     if term.kind == "product_tens":
         return f"tens({x}{times}{y})={term.value}"
-    return f"{x}{times}{y}={term.value}"
+    # only cross terms hold segments, whose values may be longer than the interpreter's int/str limit
+    return f"{_decimal_text(x)}{times}{_decimal_text(y)}={_decimal_text(term.value)}"
 
 
 def render_mul(trace: MulTrace, ascii_only: bool = False) -> RenderedTrace:
@@ -67,7 +68,7 @@ def render_mul(trace: MulTrace, ascii_only: bool = False) -> RenderedTrace:
             body = ", ".join(_mul_term_text(t, xs, ys, symbols) for t in column.terms)
         else:
             body = "0"
-        lines.append(f"  col {k}: {body} = {column.total}")
+        lines.append(f"  col {k}: {body} = {_decimal_text(column.total)}")
     lines.append(f"  columns: {trace.signed}")
     lines.append(f"  product: {trace.product}")
     return RenderedTrace(trace.method, (str(trace.a), str(trace.b)), tuple(lines))

@@ -278,6 +278,16 @@ def test_cross_slot_widths_across_byte_boundaries(length):
         assert int(product) == x * y
 
 
+@pytest.mark.parametrize(
+    "bound, width",
+    [(0, 1), (1, 1), (255, 1), (256, 2), (2**16 - 1, 2), (2**16, 4), (2**32 - 1, 4), (2**32, 8)]
+    + [(2**64 - 1, 8), (2**64, 9), (2**72 - 1, 9), (2**72, 10)],
+)
+def test_slot_width_at_byte_boundaries(bound, width):
+    # a memoryview format width (1, 2, 4, 8) up to 8 bytes, then the exact byte count
+    assert cross_mul._slot_width(bound) == width
+
+
 # --- signed unpack: slot widths, extreme slots, the non-native path ---------
 
 

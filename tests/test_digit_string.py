@@ -49,6 +49,12 @@ def test_digit_string_invariants():
     assert DigitString((0,)).is_zero
 
 
+@pytest.mark.parametrize("digits", [(1.5,), (-1,), (10,), (256,), (3, 1.0), (7, -300)])
+def test_digit_string_rejects_values_that_are_not_digits(digits):
+    with pytest.raises(ValueError, match=r"^digits must lie in 0\.\.9: "):
+        DigitString(digits)
+
+
 @given(st.integers(min_value=0, max_value=10**40))
 def test_parse_format_round_trip(value):
     ds = DigitString.from_int(value)
@@ -141,6 +147,67 @@ def test_normalize_stats_counts_carries():
     assert carries == 0
     _, carries = normalize_stats(SignedDigitString((4, 13, 28, 27, 18)))
     assert carries > 0
+
+
+def normalize_stats_reference(s, radix_power=1):
+    """The per-column loop ``normalize_stats`` is checked against: one ``_decimal_digits`` per limb."""
+    if radix_power < 1:
+        raise ValueError(f"radix power must be positive, got {radix_power}")
+    radix = 10**radix_power
+    limbs = []  # least significant first
+    carry = 0
+    carries = 0
+    for column in reversed(s.columns):
+        carry, limb = divmod(column + carry, radix)
+        limbs.append(limb)
+        if carry:
+            carries += 1
+    if carry < 0:
+        raise ValueError("signed digit string has negative total value")
+    limbs.reverse()
+    if radix_power > 1:
+        limbs = [d for limb in limbs for d in _decimal_digits(limb, radix_power)]
+    digits = (*_decimal_digits(carry), *limbs)
+    first = next((i for i, d in enumerate(digits) if d), len(digits) - 1)
+    return DigitString(digits[first:]), carries
+
+
+def assert_normalize_matches_reference(columns, radix_power):
+    s = SignedDigitString(tuple(columns))
+    try:
+        expected = normalize_stats_reference(s, radix_power)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{exc}$"):
+            normalize_stats(s, radix_power)
+        return
+    assert normalize_stats(s, radix_power) == expected
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(min_value=1, max_value=5).flatmap(
+        lambda p: st.tuples(
+            st.just(p),
+            st.integers(min_value=0, max_value=4),  # leading zero columns
+            st.lists(st.integers(min_value=-(10 ** (p + 2)), max_value=10 ** (p + 2)), max_size=300),
+        )
+    )
+)
+def test_normalize_stats_matches_the_reference_loop(case):
+    radix_power, zeros, columns = case
+    assert_normalize_matches_reference([0] * zeros + columns, radix_power)
+
+
+@pytest.mark.parametrize("radix_power", [1, 4, 512, 513, 700])
+def test_normalize_stats_matches_the_reference_loop_on_long_limbs(radix_power):
+    # limbs past the int/str block, under the smallest limit the interpreter allows
+    rng = random.Random(radix_power)
+    radix = 10**radix_power
+    columns = [0, 0, rng.randrange(radix), -rng.randrange(radix), 0, 81 * radix + 5, -1, radix - 1]
+    with int_digit_limit(640):
+        assert_normalize_matches_reference(columns, radix_power)
+        assert_normalize_matches_reference([-c for c in columns], radix_power)
+        assert_normalize_matches_reference([0, 0, 0], radix_power)
 
 
 def test_segment_string_validation():

@@ -6,7 +6,7 @@ import random
 import re
 
 from int_limits import int_digit_limit
-from plumcalc import plum_div
+from plumcalc import cli, plum_div
 from plumcalc.cross_mul import plum_mul, rapid_mul, wedge_mul, wedge_mul_single
 from plumcalc.digit_string import DigitString, parse
 from plumcalc.trace import render_div, render_mul
@@ -203,3 +203,20 @@ def test_render_div_past_the_int_string_limit():
         assert int(rendered.lines[-1]) == int(a) % int(b)
     assert rendered.lines[0].strip() == str(trace.quotient)
     assert len(trace.quotient_digits) == 11
+
+
+def test_cli_mul_trace_of_long_segments_past_the_int_string_limit(capsys):
+    # two 700-digit segments per operand: segment values, products and column
+    # totals are all longer than the smallest limit the interpreter allows
+    rng = random.Random(1400)
+    a, b = ("".join(rng.choice("123456789") for _ in range(1400)) for _ in range(2))
+    argv = ["mul", a, b, "--method", "cross", "--segment", "700", "--trace"]
+    with int_digit_limit(640):
+        code = cli.main(argv)
+    limited = capsys.readouterr()
+    with int_digit_limit(0):
+        assert cli.main(argv) == 0
+    assert (code, limited.err) == (0, "")
+    assert limited.out == capsys.readouterr().out
+    with int_digit_limit(0):
+        assert limited.out.endswith(f"  product: {int(a) * int(b)}\n")
