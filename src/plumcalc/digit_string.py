@@ -207,8 +207,6 @@ def segment(ds: DigitString, length: int) -> SegmentString:
     if length < 1:
         raise ValueError(f"segment length must be positive, got {length}")
     digits = ds.digits
-    if length == 1:
-        return SegmentString(length=1, segments=digits)
     padded = bytes((-len(digits)) % length) + bytes(digits)
     text = padded.translate(_NUMERAL_BYTES)
     segments = tuple(_text_value(text[i : i + length]) for i in range(0, len(text), length))
@@ -244,9 +242,7 @@ def normalize_stats(s: SignedDigitString, radix_power: int = 1) -> tuple[DigitSt
     limbs.reverse()
     if radix_power == 1:
         digits = bytes(limbs)
-    elif radix_power <= _BLOCK:
-        digits = (f"%0{radix_power}d" * len(limbs) % tuple(limbs)).encode("ascii").translate(_DIGIT_BYTES)
-    else:  # a limb longer than a block goes through ``_decimal_text``, which splits it
+    else:
         digits = b"".join(_decimal_digits(limb, radix_power) for limb in limbs)
     if carry:
         digits = _decimal_digits(carry) + digits
