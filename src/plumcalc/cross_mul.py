@@ -31,13 +31,12 @@ are exact whatever the slot width, so ``(P - 10*C)`` shifted one slot up plus
 
 from __future__ import annotations
 
-import operator
 import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .digit_core import _CARRY10, carry, clubsuit, wedge
+from .digit_core import _CARRY10, _CLUB10, carry, clubsuit
 from .digit_string import (
     DigitString,
     SignedDigitString,
@@ -101,9 +100,14 @@ class MulTrace:
     @cached_property
     def columns(self) -> tuple[ColumnBreakdown, ...]:
         """Every column's terms, most significant column first."""
-        return tuple(
-            ColumnBreakdown(tuple(terms), sum(t.value for t in terms)) for terms in _column_terms(self)
-        )
+        xs, ys = _term_operands(self)
+        columns = []
+        for parts in _column_layout(self):
+            terms = []
+            for kind, k in parts:
+                terms += _diagonal_terms(kind, xs, ys, k)
+            columns.append(ColumnBreakdown(tuple(terms), sum(t.value for t in terms)))
+        return tuple(columns)
 
     def column_value(self) -> int:
         """Value of the pre-normalization columns in radix ``10**radix_power``."""
@@ -229,9 +233,11 @@ def _finish(
 # ---------------------------------------------------------------------------
 # Trace terms, generated when ``MulTrace.columns`` or a division step's terms
 # are read.  Every term list is made of whole or clipped diagonals
-# ``i + j == k`` of an operand grid, built by ``_diagonal_terms``: one per
-# multiplication column here, and one per step in ``plum_div``, whose partial
-# products pair the divisor with the quotient digits chosen so far.
+# ``i + j == k`` of an operand grid, built by ``_diagonal_terms``: the parts
+# ``_column_layout`` lists for each multiplication column here, and one per
+# step in ``plum_div``, whose partial products pair the divisor with the
+# quotient digits chosen so far.  ``trace.render_mul`` writes the same layout
+# as text without building terms.
 
 
 def _term_operands(trace: MulTrace) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -249,16 +255,26 @@ def _term_operands(trace: MulTrace) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return trace.a.digits, trace.b.digits
 
 
-def _column_terms(trace: MulTrace) -> Iterable[list[Term]]:
-    """One term list per column of ``trace``, most significant first."""
-    xs, ys = _term_operands(trace)
-    if not xs:
-        return [[]]
-    if trace.method == "cross":
-        return _cross_terms(xs, ys)
-    if trace.method == "plum":
-        return _plum_terms(xs, ys)
-    return _wedge_terms(xs, ys)
+def _column_layout(trace: MulTrace) -> list[tuple[tuple[str, int], ...]]:
+    """The ``(kind, diagonal)`` parts of each column of ``trace``, most significant first.
+
+    Cross and wedge column ``k`` is diagonal ``k``.  Plum column ``k`` holds the
+    residues of diagonal ``k`` and the carries of diagonal ``k + 1``, but the
+    leading product stays whole, and the trailing product, alone on the last
+    diagonal, puts its tens in the second-to-last column and its ones in the last.
+    """
+    if trace.a.is_zero or trace.b.is_zero:
+        return [()]
+    count = len(trace.signed.columns)
+    if trace.method != "plum":
+        kind = "product" if trace.method == "cross" else "wedge"
+        return [((kind, k),) for k in range(count)]
+    last = count - 1
+    if not last:
+        return [(("product", 0),)]
+    layout = [(("residue" if k else "product", k), ("carry", k + 1)) for k in range(last)]
+    layout[-1] = (layout[-1][0], ("product_tens", last))
+    return layout + [(("product_ones", last),)]
 
 
 def _diagonal(k: int, m: int, n: int, first: int = 0) -> range:
@@ -266,54 +282,32 @@ def _diagonal(k: int, m: int, n: int, first: int = 0) -> range:
     return range(max(first, k - n + 1), min(m - 1, k) + 1)
 
 
-_PAIR_VALUES: dict[str, Callable[[int, int], int]] = {"product": operator.mul, "residue": clubsuit, "carry": carry}
+# Values of the digit-pair kinds: ``x*y`` split into residue and carry, or into tens and ones.
+_PAIR_TABLES = {
+    "residue": _CLUB10,
+    "carry": _CARRY10,
+    "product_tens": tuple(tuple(x * y // 10 for y in range(10)) for x in range(10)),
+    "product_ones": tuple(tuple(x * y % 10 for y in range(10)) for x in range(10)),
+}
 
 
 def _diagonal_terms(kind: str, xs: Sequence[int], ys: Sequence[int], k: int, first: int = 0) -> list[Term]:
     """Terms of ``kind`` for the pairs ``(xs[i], ys[k - i])``, ``i >= first``.
 
     A wedge term pairs the window ``(xs[i], xs[i+1])`` with ``ys[k - i]``, so
-    its rows are the ``len(xs) - 1`` windows of ``xs``.
+    its rows are the ``len(xs) - 1`` windows of ``xs``.  Products may pair
+    segments; every other kind pairs digits.
     """
     if kind == "wedge":
         return [
-            Term(kind, i, k - i, wedge(xs[i], xs[i + 1], ys[k - i])) for i in _diagonal(k, len(xs) - 1, len(ys), first)
+            Term(kind, i, k - i, _CLUB10[xs[i]][ys[k - i]] + _CARRY10[xs[i + 1]][ys[k - i]])
+            for i in _diagonal(k, len(xs) - 1, len(ys), first)
         ]
-    value = _PAIR_VALUES[kind]
-    return [Term(kind, i, k - i, value(xs[i], ys[k - i])) for i in _diagonal(k, len(xs), len(ys), first)]
-
-
-def _cross_terms(xs: tuple[int, ...], ys: tuple[int, ...]) -> Iterator[list[Term]]:
-    for k in range(len(xs) + len(ys) - 1):
-        yield _diagonal_terms("product", xs, ys, k)
-
-
-def _plum_terms(A: tuple[int, ...], B: tuple[int, ...]) -> Iterator[list[Term]]:
-    """Column ``k`` holds the residues of diagonal ``k`` and the carries of diagonal ``k + 1``.
-
-    The leading product stays whole in column 0.  The trailing product, alone
-    on the last diagonal, puts its tens in the second-to-last column and its
-    ones in the last.
-    """
-    m, n = len(A), len(B)
-    k_last = m + n - 2
-    if k_last == 0:
-        yield _diagonal_terms("product", A, B, 0)
-        return
-    tens, ones = divmod(A[-1] * B[-1], 10)
-    for k in range(k_last):
-        terms = _diagonal_terms("residue" if k else "product", A, B, k)
-        if k < k_last - 1:
-            terms += _diagonal_terms("carry", A, B, k + 1)
-        else:
-            terms.append(Term("product_tens", m - 1, n - 1, tens))
-        yield terms
-    yield [Term("product_ones", m - 1, n - 1, ones)]
-
-
-def _wedge_terms(padded: tuple[int, ...], B: tuple[int, ...]) -> Iterator[list[Term]]:
-    for k in range(len(padded) + len(B) - 2):
-        yield _diagonal_terms("wedge", padded, B, k)
+    rows = _diagonal(k, len(xs), len(ys), first)
+    if kind == "product":
+        return [Term(kind, i, k - i, xs[i] * ys[k - i]) for i in rows]
+    table = _PAIR_TABLES[kind]
+    return [Term(kind, i, k - i, table[xs[i]][ys[k - i]]) for i in rows]
 
 
 # ---------------------------------------------------------------------------

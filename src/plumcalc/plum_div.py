@@ -52,7 +52,7 @@ from typing import Iterator, Sequence
 
 from .cross_mul import Term, _diagonal_terms, _wedge_columns
 from .digit_core import carry
-from .digit_string import DigitString, _decimal_digits, _decimal_text, _horner
+from .digit_string import _DIGIT_VALUES, DigitString, _decimal_digits, _decimal_text, _horner
 
 __all__ = ["DivisionStep", "DivisionTrace", "pp0_plum", "pp0_wedge", "pp1", "divmod", "div_decimal", "DIV_METHODS"]
 
@@ -148,10 +148,21 @@ class DivisionTrace:
             yield r
 
 
-def pp0_plum(b: DigitString, c_so_far: Sequence[int], n: int) -> tuple[int, tuple[Term, ...]]:
-    """Plum form of the step-``n`` partial product over the quotient digits before ``c[n]``."""
+def _check_step(c_so_far: Sequence[int], n: int) -> None:
+    """Reject a step index below 1, and quotient digits outside 0..9, which would misread the digit tables."""
     if n < 1:
         raise ValueError(f"step index must be positive, got {n}")
+    try:
+        stray = bytes(c_so_far).translate(None, _DIGIT_VALUES)
+    except (TypeError, ValueError):  # a non-integer, or an integer outside 0..255
+        stray = True
+    if stray:
+        raise ValueError(f"quotient digits must lie in 0..9, got {tuple(c_so_far)}")
+
+
+def pp0_plum(b: DigitString, c_so_far: Sequence[int], n: int) -> tuple[int, tuple[Term, ...]]:
+    """Plum form of the step-``n`` partial product over the quotient digits before ``c[n]``."""
+    _check_step(c_so_far, n)
     terms = _diagonal_terms("residue", b.digits, c_so_far, n - 1, first=1)
     terms += _diagonal_terms("carry", b.digits, c_so_far, n, first=2)
     return sum(term.value for term in terms), tuple(terms)
@@ -159,8 +170,7 @@ def pp0_plum(b: DigitString, c_so_far: Sequence[int], n: int) -> tuple[int, tupl
 
 def pp0_wedge(b: DigitString, c_so_far: Sequence[int], n: int) -> tuple[int, tuple[Term, ...]]:
     """Wedge form of the same partial product: equal value, pairwise terms."""
-    if n < 1:
-        raise ValueError(f"step index must be positive, got {n}")
+    _check_step(c_so_far, n)
     terms = _diagonal_terms("wedge", b.digits + (0,), c_so_far, n - 1, first=1)
     return sum(term.value for term in terms), tuple(terms)
 

@@ -14,8 +14,13 @@ Rendering is deterministic: equal traces produce byte-identical text.  With
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from itertools import chain
+from operator import getitem
+from typing import Iterable
 
-from .cross_mul import MulTrace, Term, _term_operands
+from .cross_mul import MulTrace, _column_layout, _diagonal, _term_operands
+from .digit_core import _CARRY10, _CLUB10
 from .digit_string import _decimal_text
 from .plum_div import DivisionTrace
 
@@ -38,37 +43,59 @@ def _symbols(ascii_only: bool) -> tuple[str, str, str]:
     return "♣", "⋈", "×"
 
 
-def _mul_term_text(term: Term, xs: tuple[int, ...], ys: tuple[int, ...], symbols: tuple[str, str, str]) -> str:
-    club, bowtie, times = symbols
-    x, y = xs[term.i], ys[term.j]
-    if term.kind == "wedge":
-        return f"{x}{xs[term.i + 1]}{bowtie}{y}={term.value}"
-    if term.kind == "residue":
-        return f"{x}{club}{y}={term.value}"
-    if term.kind == "carry":
-        return f"J({x}{club}{y})={term.value}"
-    if term.kind == "product_ones":
-        return f"ones({x}{times}{y})={term.value}"
-    if term.kind == "product_tens":
-        return f"tens({x}{times}{y})={term.value}"
-    # only cross terms hold segments, whose values may be longer than the interpreter's int/str limit
-    return f"{_decimal_text(x)}{times}{_decimal_text(y)}={_decimal_text(term.value)}"
+@cache
+def _pair_texts(ascii_only: bool) -> dict[str, tuple]:
+    """Text of every digit pair of each term kind, ``texts[kind][x][y]``; wedge is ``[a][b][c]``.
+
+    Built on first use, once per symbol set, and shared by every later render.
+    """
+    club, bowtie, times = _symbols(ascii_only)
+
+    def table(text) -> tuple[tuple[str, ...], ...]:
+        return tuple(tuple(text(x, y) for y in range(10)) for x in range(10))
+
+    return {
+        "product": table(lambda x, y: f"{x}{times}{y}={x * y}"),
+        "residue": table(lambda x, y: f"{x}{club}{y}={_CLUB10[x][y]}"),
+        "carry": table(lambda x, y: f"J({x}{club}{y})={_CARRY10[x][y]}"),
+        "product_tens": table(lambda x, y: f"tens({x}{times}{y})={x * y // 10}"),
+        "product_ones": table(lambda x, y: f"ones({x}{times}{y})={x * y % 10}"),
+        "wedge": tuple(table(lambda b, c: f"{a}{b}{bowtie}{c}={_CLUB10[a][c] + _CARRY10[b][c]}") for a in range(10)),
+    }
+
+
+def _diagonal_text(kind: str, xs: tuple, ys_reversed: tuple, k: int, texts: dict | None, times: str) -> Iterable[str]:
+    """Text of the terms ``_diagonal_terms(kind, xs, ys_reversed[::-1], k)`` would build, in order.
+
+    Without ``texts`` the pairs are segments, whose values may be past the int/str limit.
+    """
+    wedge = kind == "wedge"
+    rows = _diagonal(k, len(xs) - wedge, len(ys_reversed))
+    start = len(ys_reversed) - 1 - k
+    lefts, rights = xs[rows.start : rows.stop], ys_reversed[start + rows.start : start + rows.stop]
+    if texts is None:
+        return (f"{_decimal_text(x)}{times}{_decimal_text(y)}={_decimal_text(x * y)}" for x, y in zip(lefts, rights))
+    cells = map(texts[kind].__getitem__, lefts)
+    if wedge:
+        cells = map(getitem, cells, xs[rows.start + 1 : rows.stop + 1])
+    return map(getitem, cells, rights)
 
 
 def render_mul(trace: MulTrace, ascii_only: bool = False) -> RenderedTrace:
-    """One line per column, then the signed column tuple, then the product."""
+    """One line per column (its terms, from the operands, and its signed total), then the columns and the product."""
     symbols = _symbols(ascii_only)
     xs, ys = _term_operands(trace)
+    ys_reversed = ys[::-1]
+    texts = _pair_texts(ascii_only) if trace.radix_power == 1 else None
     header = f"{trace.a} {symbols[2]} {trace.b}  [{trace.method}]"
     if trace.radix_power > 1:
         header += f" (segments of {trace.radix_power})"
     lines = [header]
-    for k, column in enumerate(trace.columns):
-        if column.terms:
-            body = ", ".join(_mul_term_text(t, xs, ys, symbols) for t in column.terms)
-        else:
-            body = "0"
-        lines.append(f"  col {k}: {body} = {_decimal_text(column.total)}")
+    for k, (parts, total) in enumerate(zip(_column_layout(trace), trace.signed.columns)):
+        body = ", ".join(
+            chain.from_iterable(_diagonal_text(kind, xs, ys_reversed, d, texts, symbols[2]) for kind, d in parts)
+        )
+        lines.append(f"  col {k}: {body or '0'} = {_decimal_text(total)}")
     lines.append(f"  columns: {trace.signed}")
     lines.append(f"  product: {trace.product}")
     return RenderedTrace(trace.method, (str(trace.a), str(trace.b)), tuple(lines))

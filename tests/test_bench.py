@@ -87,7 +87,7 @@ def test_bench_builds_no_trace_terms(monkeypatch):
     def unavailable(trace):
         raise AssertionError("bench must not build trace terms")
 
-    monkeypatch.setattr("plumcalc.cross_mul._column_terms", unavailable)
+    monkeypatch.setattr("plumcalc.cross_mul._diagonal_terms", unavailable)
     metrics = run_bench(sizes=[1, 5], trials=2, seed=3)
     assert len(metrics) == 2 * len(BENCH_METHODS)
 

@@ -61,6 +61,11 @@ def test_pp0_rejects_bad_step():
         pp0_plum(ds(369), (), 0)
     with pytest.raises(ValueError):
         pp0_wedge(ds(369), (), -1)
+    # quotient digits index the digit tables, where -1 would read the entry for 9
+    for pp0 in (pp0_plum, pp0_wedge):
+        for c in ((1, 10), (1, -1), (1.5,)):
+            with pytest.raises(ValueError, match="quotient digits must lie in 0..9"):
+                pp0(ds(369), c, 3)
 
 
 def test_pp1_worked_values():

@@ -2,14 +2,29 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 import re
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from int_limits import int_digit_limit
-from plumcalc import cli, plum_div
-from plumcalc.cross_mul import plum_mul, rapid_mul, wedge_mul, wedge_mul_single
-from plumcalc.digit_string import DigitString, parse
-from plumcalc.trace import render_div, render_mul
+from plumcalc import cli, cross_mul, plum_div
+from plumcalc.cross_mul import (
+    MUL_METHODS,
+    MulTrace,
+    Term,
+    _term_operands,
+    plum_mul,
+    rapid_mul,
+    wedge_mul,
+    wedge_mul_single,
+)
+from plumcalc.digit_string import DigitString, _decimal_text, parse
+from plumcalc.trace import _symbols, render_div, render_mul
+from strategies import numerals
 
 
 def ds(value: int) -> DigitString:
@@ -76,6 +91,103 @@ def test_render_mul_deterministic():
     _, t1 = wedge_mul(ds(348), ds(697))
     _, t2 = wedge_mul(ds(348), ds(697))
     assert str(render_mul(t1)) == str(render_mul(t2))
+
+
+def _reference_term_text(term: Term, xs: tuple[int, ...], ys: tuple[int, ...], symbols: tuple[str, str, str]) -> str:
+    club, bowtie, times = symbols
+    x, y = xs[term.i], ys[term.j]
+    if term.kind == "wedge":
+        return f"{x}{xs[term.i + 1]}{bowtie}{y}={term.value}"
+    if term.kind == "residue":
+        return f"{x}{club}{y}={term.value}"
+    if term.kind == "carry":
+        return f"J({x}{club}{y})={term.value}"
+    if term.kind == "product_ones":
+        return f"ones({x}{times}{y})={term.value}"
+    if term.kind == "product_tens":
+        return f"tens({x}{times}{y})={term.value}"
+    return f"{_decimal_text(x)}{times}{_decimal_text(y)}={_decimal_text(term.value)}"
+
+
+def render_mul_reference(trace: MulTrace, ascii_only: bool = False) -> list[str]:
+    """Lines of ``render_mul`` built term by term from ``trace.columns``, the way it once was."""
+    symbols = _symbols(ascii_only)
+    xs, ys = _term_operands(trace)
+    header = f"{trace.a} {symbols[2]} {trace.b}  [{trace.method}]"
+    if trace.radix_power > 1:
+        header += f" (segments of {trace.radix_power})"
+    lines = [header]
+    for k, column in enumerate(trace.columns):
+        if column.terms:
+            body = ", ".join(_reference_term_text(t, xs, ys, symbols) for t in column.terms)
+        else:
+            body = "0"
+        lines.append(f"  col {k}: {body} = {_decimal_text(column.total)}")
+    lines.append(f"  columns: {trace.signed}")
+    lines.append(f"  product: {trace.product}")
+    return lines
+
+
+def _traces(a: DigitString, b: DigitString, segments=(2, 3, 7)) -> list[MulTrace]:
+    """Every method's trace of ``a * b``, plus cross traces over the given segment lengths."""
+    return [fn(a, b)[1] for fn in MUL_METHODS.values()] + [rapid_mul(a, b, s)[1] for s in segments]
+
+
+def _assert_renders_like_reference(trace: MulTrace) -> None:
+    for ascii_only in (False, True):
+        assert list(render_mul(trace, ascii_only).lines) == render_mul_reference(trace, ascii_only), trace.method
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.just(0), numerals(60)), st.one_of(st.just(0), numerals(60)))
+def test_render_mul_equals_the_term_by_term_reference(a, b):
+    for trace in _traces(ds(a), ds(b)):
+        _assert_renders_like_reference(trace)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(st.just(0), numerals(60)))
+def test_render_mul_single_digit_equals_the_reference(a):
+    for c in range(10):
+        _assert_renders_like_reference(wedge_mul_single(ds(a), c)[1])
+
+
+def test_render_mul_long_operands_equal_the_reference():
+    rng = random.Random(200)
+    a, b = (parse(str(rng.randint(1, 9)) + "".join(rng.choices("0123456789", k=199))) for _ in range(2))
+    for trace in _traces(a, b, segments=()):
+        _assert_renders_like_reference(trace)
+
+
+# sha256 of every rendering below, taken from the term-by-term renderer
+LADDER_RENDERINGS_SHA256 = "3f5f9b88ed6b61631fac7f1af44d2898371d34e42c6ed269e1a7466afb427a49"
+
+
+def test_renderings_over_the_short_cli_ladder_are_pinned():
+    rng = random.Random(7)
+    texts = []
+    for a_len, b_len in zip(range(4, 25, 2), range(2, 13)):
+        for _ in range(3):
+            a, b = (parse(str(rng.randint(1, 9)) + "".join(rng.choices("0123456789", k=n - 1))) for n in (a_len, b_len))
+            for ascii_only in (False, True):
+                texts += [str(render_mul(trace, ascii_only)) for trace in _traces(a, b, segments=(2,))]
+                texts += [str(render_div(plum_div.divmod(a, b, m)[2], ascii_only)) for m in plum_div.DIV_METHODS]
+    assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == LADDER_RENDERINGS_SHA256
+
+
+def test_render_mul_builds_no_terms(monkeypatch):
+    def unavailable(*args, **kwargs):
+        raise AssertionError("render_mul must not build terms")
+
+    monkeypatch.setattr(cross_mul, "_diagonal_terms", unavailable)
+    traces = _traces(ds(97531), ds(8642), segments=(2,)) + _traces(ds(0), ds(8642), segments=())
+    traces.append(wedge_mul_single(ds(97531), 7)[1])
+    for trace in traces:
+        render_mul(trace)
+        render_mul(trace, ascii_only=True)
+        assert "columns" not in trace.__dict__, trace.method
+    with pytest.raises(AssertionError, match="must not build terms"):
+        traces[0].columns  # the patch is live: reading the terms builds them
 
 
 def _value_rows(rendered) -> list[int]:
