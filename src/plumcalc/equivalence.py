@@ -37,8 +37,8 @@ ONE_SIDED_MULTIPLIERS = (1, 7, 99, 9999)
 ONE_SIDED_DIVISORS = (1, 7, 99, 369, 3456)
 RANDOM_MAX_DIGITS = 64  # longest random factor or dividend; random divisors get half
 
-# One operand: its digit string and the oracle's number, built from the same digits once.
-_Operand = tuple[DigitString, Nat]
+# One operand: its digit string, the oracle's number and its ``int``, each built once.
+_Operand = tuple[DigitString, Nat, int]
 # One sweep case: a check, then the two operands it is run on.
 _Case = tuple[Callable[..., int], _Operand, "_Operand | int"]
 
@@ -61,7 +61,7 @@ def random_digit_string(rng: random.Random, max_digits: int) -> DigitString:
 
 
 def _operand(a: DigitString) -> _Operand:
-    return a, Nat.from_digits(a.digits)
+    return a, Nat.from_digits(a.digits), int(a)
 
 
 def _sweep(law: str, detail: str, cases: Iterable[_Case]) -> LawReport:
@@ -110,22 +110,22 @@ def verify_mul_equivalence(
 
 
 def _mul_check(violations: list, x: _Operand, y: _Operand) -> int:
-    (a, a_nat), (b, b_nat) = x, y
+    (a, a_nat, a_int), (b, b_nat, b_int) = x, y
     expected = o_mul(a_nat, b_nat)
     expected_digits, expected_int = expected.to_digits(), expected.to_int()
     for method in MUL_METHODS.values():
         product, trace = method(a, b)
         if product.digits != expected_digits or trace.column_value() != expected_int:
-            violations.append(((int(a), int(b)), expected_int, int(product)))
+            violations.append(((a_int, b_int), expected_int, int(product)))
     return len(MUL_METHODS)
 
 
 def _mul_single_check(violations: list, x: _Operand, c: int) -> int:
-    a, a_nat = x
+    a, a_nat, a_int = x
     product, _ = wedge_mul_single(a, c)
     expected = o_mul(a_nat, Nat.from_int(c))
     if product.digits != expected.to_digits():
-        violations.append(((int(a), c), expected.to_int(), int(product)))
+        violations.append(((a_int, c), expected.to_int(), int(product)))
     return 1
 
 
@@ -173,15 +173,15 @@ def verify_div_equivalence(
 
 
 def _div_check(violations: list, x: _Operand, y: _Operand) -> int:
-    (a, a_nat), (b, b_nat) = x, y
+    (a, a_nat, a_int), (b, b_nat, b_int) = x, y
     expected_q, expected_r = o_divmod(a_nat, b_nat)
     q, r, trace = plum_div.divmod(a, b)
     if q.digits != expected_q.to_digits():
-        violations.append(((int(a), int(b)), expected_q.to_int(), int(q)))
+        violations.append(((a_int, b_int), expected_q.to_int(), int(q)))
     elif r.digits != expected_r.to_digits():
-        violations.append(((int(a), int(b)), expected_r.to_int(), int(r)))
-    elif trace.pp_reconstruction() != int(b) * int(q):
-        violations.append(((int(a), int(b)), int(b) * int(q), trace.pp_reconstruction()))
+        violations.append(((a_int, b_int), expected_r.to_int(), int(r)))
+    elif trace.pp_reconstruction() != b_int * (a_int // b_int):  # b*q from the operands, not the trace
+        violations.append(((a_int, b_int), b_int * (a_int // b_int), trace.pp_reconstruction()))
     return 1
 
 

@@ -128,8 +128,12 @@ class DivisionTrace:
 
         By linearity this is ``_horner(W) + b[1] * q * 10**(t-1)``: the ``b[1]*c[n]``
         parts of the ``PP_n`` sum to ``b[1]`` times the quotient, whose last digit
-        ``c[s-t+1]`` has weight ``10**(t-1)``.
+        ``c[s-t+1]`` has weight ``10**(t-1)``.  It is evaluated once per trace.
         """
+        return self._reconstruction
+
+    @cached_property
+    def _reconstruction(self) -> int:
         b = self.divisor.digits
         return _horner(self._columns, 10) + b[0] * int(self.quotient) * 10 ** (len(b) - 1)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import tracemalloc
 
 import pytest
@@ -47,7 +48,12 @@ def test_memory_does_not_grow_with_trials():
         finally:
             tracemalloc.stop()
 
-    run_bench(sizes=[8], trials=2, seed=1, methods=["cross"])  # warm caches outside the traced runs
+    # A full collection empties the interpreter's free lists, and refilling them
+    # (up to 80 list objects, about 4.5 KB) takes tens of trials: inside a traced
+    # run it would count as growth.  So collect, then warm caches and refill the
+    # free lists with the traced runs' own trials before tracing.
+    gc.collect()
+    run_bench(sizes=[8], trials=400, seed=1, methods=["cross"])
     # keeping every column of every trial would add about 45 KB between these two
     assert peak(400) < peak(50) + 4096
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from plumcalc import cross_mul, plum_div
@@ -262,20 +262,33 @@ def test_kernel_edge_shapes(x, y):
         assert int(method(a, b)[0]) == x * y
 
 
+# --- the two kernel paths: packed products and the per-pair basecase ---------
+
+ALL_BASECASE = 10**9  # more digit pairs than any operand these tests multiply
+
+
+def kernel_paths(monkeypatch):
+    """Yield once with every kernel call on the packed path, then once with every call on the basecase."""
+    for pairs in (0, ALL_BASECASE):
+        monkeypatch.setattr(cross_mul, "_BASECASE_PAIRS", pairs)
+        yield pairs
+
+
 @pytest.mark.parametrize("length", range(1, 13))
-def test_cross_slot_widths_across_byte_boundaries(length):
+def test_cross_slot_widths_across_byte_boundaries(length, monkeypatch):
     # all-nines segments give the largest columns; growing segment counts push
     # the column bound (10**L - 1)**2 * count past 2**8, 2**16, 2**32 and 2**64
     for count in (1, 2, 3, 5, 17, 40):
         x, y = 10 ** (length * count) - 1, 10 ** (length * (count // 2 + 1)) - 1
-        product, trace = rapid_mul(ds(x), ds(y), length)
         xs, ys = segment(ds(x), length).segments, segment(ds(y), length).segments
         expected = tuple(
             sum(xs[i] * ys[k - i] for i in range(len(xs)) if 0 <= k - i < len(ys))
             for k in range(len(xs) + len(ys) - 1)
         )
-        assert trace.signed.columns == expected
-        assert int(product) == x * y
+        for _ in kernel_paths(monkeypatch):
+            product, trace = rapid_mul(ds(x), ds(y), length)
+            assert trace.signed.columns == expected
+            assert int(product) == x * y
 
 
 @pytest.mark.parametrize(
@@ -312,14 +325,17 @@ def kernel_operands(m: int, n: int):
     return [((9,) * m, (9,) * n), ((2,) * m, (2,) * n), (mixed(m), mixed(n)), ((9,) * m, mixed(n))]
 
 
-def test_wedge_columns_every_column_up_to_40_digits():
+def test_wedge_columns_every_column_up_to_40_digits(monkeypatch):
     # min(m, n) = 10 packs one byte a slot and 11 two; all-nines columns pass
     # 127 from about 15 digits, so a slot width below the column bound fails
+    cases = []
     for size in range(1, 41):
         for m, n in ((size, size), (size, 37), (37, size)):
             for xs, ys in kernel_operands(m, n):
-                expected = [direct_wedge_column(xs, ys, k) for k in range(m + n)]
-                assert cross_mul._wedge_columns(xs, ys) == expected, (xs, ys)
+                cases.append((xs, ys, [direct_wedge_column(xs, ys, k) for k in range(m + n)]))
+    for _ in kernel_paths(monkeypatch):
+        for xs, ys, expected in cases:
+            assert cross_mul._wedge_columns(xs, ys) == expected, (xs, ys)
 
 
 @pytest.mark.parametrize("size", [2977, 2978, 2979])
@@ -352,13 +368,54 @@ def all_columns(a: DigitString, b: DigitString):
     return columns
 
 
+KERNEL_OPERANDS = [(7, 8), (386, 47), (10**12 - 1, 10**11 - 1), (int("2" * 40), int("9" * 300))]
+
+
 def test_non_native_unpack_matches_native(monkeypatch):
-    operands = [(7, 8), (386, 47), (10**12 - 1, 10**11 - 1), (int("2" * 40), int("9" * 300))]
-    operands += [(int("31415926535897932384626433832795" * 94), int("27182818284590452353602874713527" * 94))]
+    monkeypatch.setattr(cross_mul, "_BASECASE_PAIRS", 0)  # every call unpacks
+    operands = KERNEL_OPERANDS + [
+        (int("31415926535897932384626433832795" * 94), int("27182818284590452353602874713527" * 94))
+    ]
     operands = [(ds(x), ds(y)) for x, y in operands]
     native = [all_columns(a, b) for a, b in operands]
     monkeypatch.setattr(cross_mul, "_SIGNED_FORMATS", {})
     assert [all_columns(a, b) for a, b in operands] == native
+
+
+def test_basecase_matches_packed_kernel(monkeypatch):
+    # every method, segment length and division on the same operands, through
+    # each path; the 3008-digit pair above would take seconds pair by pair
+    operands = [(ds(x), ds(y)) for x, y in KERNEL_OPERANDS]
+    packed, basecase = ([all_columns(a, b) for a, b in operands] for _ in kernel_paths(monkeypatch))
+    assert basecase == packed
+
+
+def kernel_shapes():
+    """``(seg_len, xs, ys)``: up to 16 by 16 values of ``seg_len`` digits each, zeros anywhere."""
+
+    def values(seg_len):
+        return st.lists(st.integers(0, 10**seg_len - 1), min_size=1, max_size=16).map(tuple)
+
+    return st.sampled_from([1, 2, 3, 7]).flatmap(lambda L: st.tuples(st.just(L), values(L), values(L)))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(kernel_shapes())
+@example((1, (0, 5), (3,)))  # a leading zero, as in divmod's ``b.digits[1:]``
+@example((1, (7,), (0, 0, 9)))  # a zero-led quotient
+@example((1, (9,) * 16, (9,) * 16))
+@example((7, (0,) * 15 + (1,), (9_999_999,) * 16))
+@example((1, (0, 0), (4, 0)))  # divisor 100: its tail is all zeros
+def test_basecase_and_packed_columns_agree(monkeypatch, shape):
+    # the kernel takes digits with leading zeros (divmod passes them), and
+    # cross also takes segments of any length; each path is set for each example
+    seg_len, xs, ys = shape
+    columns = []
+    for _ in kernel_paths(monkeypatch):
+        # rapid_mul never passes a zero factor, whose packed slots would be sized from 0
+        cross = cross_mul._convolve(xs, ys) if any(xs) and any(ys) else None
+        columns.append((cross, cross_mul._wedge_columns(xs, ys) if seg_len == 1 else None))
+    assert columns[0] == columns[1]
 
 
 # --- traces are built only when read ----------------------------------------

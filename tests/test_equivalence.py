@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 from plumcalc import equivalence, plum_div
 from plumcalc.cross_mul import MUL_METHODS, plum_mul
 from plumcalc.digit_string import DigitString
@@ -24,16 +26,20 @@ def test_broken_mul_method_fails_every_mul_sweep(monkeypatch):
     assert {inputs for inputs, _, _ in reports[0].violations} == {(x, y) for x in range(3) for y in range(3)}
 
 
-def test_wrong_remainder_is_recorded_as_remainders(monkeypatch):
+def sweep_with_divmod(monkeypatch, tamper):
+    """Every division sweep, with each ``divmod`` result passed through ``tamper``.
+
+    Checks that each case is one ``divmod`` call and one violation naming its
+    operands, and returns the violations.
+    """
     divmod_ = plum_div.divmod
     calls = []
 
-    def off_by_one(a, b, method="plum"):
+    def tampered(a, b, method="plum"):
         calls.append((int(a), int(b)))
-        q, r, trace = divmod_(a, b, method)
-        return q, DigitString.from_int(int(r) + 1), trace
+        return tamper(*divmod_(a, b, method))
 
-    monkeypatch.setattr(plum_div, "divmod", off_by_one)
+    monkeypatch.setattr(plum_div, "divmod", tampered)
     monkeypatch.setattr(equivalence, "ONE_SIDED_DIVISORS", (7,))  # one divisor keeps the 10^4 sweep short
     reports = equivalence.verify_div_equivalence(limit=3, random_pairs=2, seed=7)
     cases = [6, 10_000, 2]
@@ -41,10 +47,31 @@ def test_wrong_remainder_is_recorded_as_remainders(monkeypatch):
     assert len(calls) == sum(cases)
     assert [r.domain_size for r in reports] == cases
     assert [len(r.violations) for r in reports] == cases
-    for report in reports:
-        assert not report.holds
-        for (x, y), expected, actual in report.violations:
-            assert expected != actual
-            assert (expected, actual) == (x % y, x % y + 1)
+    assert not any(report.holds for report in reports)
     assert [inputs for inputs, _, _ in reports[0].violations] == [(x, y) for x in range(3) for y in (1, 2)]
-    assert [inputs for report in reports for inputs, _, _ in report.violations] == calls
+    violations = [violation for report in reports for violation in report.violations]
+    assert [inputs for inputs, _, _ in violations] == calls
+    return violations
+
+
+def test_wrong_remainder_is_recorded_as_remainders(monkeypatch):
+    violations = sweep_with_divmod(monkeypatch, lambda q, r, trace: (q, DigitString.from_int(int(r) + 1), trace))
+    for (x, y), expected, actual in violations:
+        assert (expected, actual) == (x % y, x % y + 1)
+
+
+def test_wrong_quotient_is_recorded_as_quotients(monkeypatch):
+    violations = sweep_with_divmod(monkeypatch, lambda q, r, trace: (DigitString.from_int(int(q) + 1), r, trace))
+    for (x, y), expected, actual in violations:
+        assert (expected, actual) == (x // y, x // y + 1)
+
+
+def test_wrong_kernel_column_is_recorded_as_reconstructions(monkeypatch):
+    def last_column_off_by_one(q, r, trace):
+        columns = list(trace._columns) or [0]  # a zero quotient's trace has no column
+        columns[-1] += 1
+        return q, r, dataclasses.replace(trace, _columns=tuple(columns))
+
+    violations = sweep_with_divmod(monkeypatch, last_column_off_by_one)
+    for (x, y), expected, actual in violations:
+        assert (expected, actual) == (y * (x // y), y * (x // y) + 1)
