@@ -60,7 +60,13 @@ def random_digit_string(rng: random.Random, max_digits: int) -> DigitString:
     return _random_digits(rng, rng.randint(1, max_digits))
 
 
-def _operand(a: DigitString) -> _Operand:
+def _operand(v: int) -> _Operand:
+    a = DigitString.from_int(v)
+    return a, Nat.from_digits(a.digits), v
+
+
+def _random_operand(rng: random.Random, max_digits: int) -> _Operand:
+    a = random_digit_string(rng, max_digits)
     return a, Nat.from_digits(a.digits), int(a)
 
 
@@ -75,9 +81,9 @@ def _sweep(law: str, detail: str, cases: Iterable[_Case]) -> LawReport:
 
 def _one_sided(check: Callable[..., int], others: tuple[int, ...]) -> Iterator[_Case]:
     """Every value below 10**4 against each of ``others``, built as it is needed."""
-    fixed = [_operand(DigitString.from_int(v)) for v in others]
+    fixed = [_operand(v) for v in others]
     for av in range(10_000):
-        a = _operand(DigitString.from_int(av))
+        a = _operand(av)
         for b in fixed:
             yield check, a, b
 
@@ -130,7 +136,7 @@ def _mul_single_check(violations: list, x: _Operand, c: int) -> int:
 
 
 def _mul_box(limit: int) -> Iterator[_Case]:
-    values = [_operand(DigitString.from_int(v)) for v in range(limit)]
+    values = [_operand(v) for v in range(limit)]
     for a in values:
         for b in values:
             yield _mul_check, a, b
@@ -141,8 +147,8 @@ def _mul_box(limit: int) -> Iterator[_Case]:
 def _mul_random(random_pairs: int, seed: int) -> Iterator[_Case]:
     for trial in range(random_pairs):
         rng = _seeded_rng(seed, "mul", trial)
-        a = _operand(random_digit_string(rng, RANDOM_MAX_DIGITS))
-        b = _operand(random_digit_string(rng, RANDOM_MAX_DIGITS))
+        a = _random_operand(rng, RANDOM_MAX_DIGITS)
+        b = _random_operand(rng, RANDOM_MAX_DIGITS)
         yield _mul_check, a, b
         yield _mul_single_check, a, rng.randint(0, 9)
 
@@ -186,7 +192,7 @@ def _div_check(violations: list, x: _Operand, y: _Operand) -> int:
 
 
 def _div_box(limit: int) -> Iterator[_Case]:
-    values = [_operand(DigitString.from_int(v)) for v in range(limit)]
+    values = [_operand(v) for v in range(limit)]
     for a in values:
         for b in values[1:]:
             yield _div_check, a, b
@@ -195,6 +201,6 @@ def _div_box(limit: int) -> Iterator[_Case]:
 def _div_random(random_pairs: int, seed: int) -> Iterator[_Case]:
     for trial in range(random_pairs):
         rng = _seeded_rng(seed, "div", trial)
-        a = _operand(random_digit_string(rng, RANDOM_MAX_DIGITS))
-        b = _operand(random_digit_string(rng, RANDOM_MAX_DIGITS // 2))
+        a = _random_operand(rng, RANDOM_MAX_DIGITS)
+        b = _random_operand(rng, RANDOM_MAX_DIGITS // 2)
         yield _div_check, a, b
