@@ -34,7 +34,6 @@ from .digit_string import (
     normalize,
     parse,
     segment,
-    value_of,
 )
 from .plum_div import DivisionTrace, div_decimal
 from .trace import RenderedTrace, render_div, render_mul
@@ -58,7 +57,6 @@ __all__ = [
     "parse",
     "segment",
     "normalize",
-    "value_of",
     "cross_sum",
     "rapid_mul",
     "plum_mul",

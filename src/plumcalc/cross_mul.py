@@ -196,7 +196,8 @@ def _convolve(xs: Sequence[int], ys: Sequence[int]) -> list[int]:
             for k, y in enumerate(ys, i):
                 columns[k] += x * y
         return columns
-    width = _slot_width(2 * max(xs) * max(ys) * min(len(xs), len(ys)))
+    # slots hold the factors too, whose values can exceed the column bound when a factor is all zeros
+    width = _slot_width(max(2 * max(xs) * max(ys) * min(len(xs), len(ys)), max(xs), max(ys)))
     packed = int.from_bytes(_slots(xs, width), "little") * int.from_bytes(_slots(ys, width), "little")
     return _unslot(packed, len(xs) + len(ys) - 1, width)
 

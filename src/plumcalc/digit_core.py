@@ -10,15 +10,21 @@ digit's residue together with its right neighbour's carry into one term:
 ``♣`` and ``J`` are each one closed formula, total on all integers; their
 10x10 digit tables serve ``wedge`` and the column kernel in ``cross_mul``.
 
-Everything in this module is a pure function of its arguments; the law
+Everything in this module is a pure function of its arguments.  The law
 verifiers at the bottom brute-force every identity over its full finite
-domain and report violations instead of asserting.
+domain and report violations instead of asserting.  Each law is a stream of
+``(check, x, y)`` cases fed to one driver, ``_sweep``, which the equivalence
+sweeps share: ``check(violations, x, y)`` appends what it finds and returns
+how many domain elements the case counts.  A digit-law case compares an
+``(expected, actual)`` pair on its inputs with ``_agree``, which counts one,
+or with ``_also``, a further condition on inputs already counted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from itertools import product
+from typing import Any, Callable, Iterable, NamedTuple
 
 __all__ = [
     "clubsuit",
@@ -181,96 +187,73 @@ class LawReport:
         return not self.violations
 
 
-class _Checker:
-    """Collects violations while counting the domain actually swept."""
+def _sweep(law: str, cases: Iterable[tuple[Callable[..., int], Any, Any]], detail: str = "") -> LawReport:
+    """Run every case ``(check, x, y)`` into one report.
 
-    def __init__(self, law: str) -> None:
-        self.law = law
-        self.count = 0
-        self.violations: list[tuple[tuple[int, ...], int, int]] = []
+    ``check(violations, x, y)`` appends the violations it finds and returns how
+    many domain elements the case counts; the report's domain size is their sum.
+    """
+    violations: list = []
+    count = 0
+    for check, x, y in cases:
+        count += check(violations, x, y)
+    return LawReport(law, count, tuple(violations), detail)
 
-    def check(self, inputs: tuple[int, ...], expected: int, actual: int) -> None:
-        self.count += 1
-        self.record(inputs, expected, actual)
 
-    def record(self, inputs: tuple[int, ...], expected: int, actual: int) -> None:
-        """A further condition on inputs already counted in the domain."""
-        if expected != actual:
-            self.violations.append((inputs, expected, actual))
+def _agree(violations: list, inputs: tuple[int, ...], pair: tuple[int, int]) -> int:
+    """One domain element, violated when ``pair``'s expected and actual values differ."""
+    expected, actual = pair
+    if expected != actual:
+        violations.append((inputs, expected, actual))
+    return 1
 
-    def report(self, detail: str = "") -> LawReport:
-        return LawReport(self.law, self.count, tuple(self.violations), detail)
+
+def _also(violations: list, inputs: tuple[int, ...], pair: tuple[int, int]) -> int:
+    """A further condition on inputs already counted in the domain."""
+    _agree(violations, inputs, pair)
+    return 0
 
 
 # --- clubsuit laws -----------------------------------------------------------
 
 
-def _law_club_commutative() -> LawReport:
-    ck = _Checker("club-commutative")
-    for a in range(10):
-        for b in range(10):
-            ck.check((a, b), clubsuit(a, b), clubsuit(b, a))
-    return ck.report()
-
-
-def _law_club_associative() -> LawReport:
-    ck = _Checker("club-associative")
-    for a in range(10):
-        for b in range(10):
-            for c in range(10):
-                ck.check(
-                    (a, b, c),
-                    clubsuit(clubsuit(a, b), c),
-                    clubsuit(a, clubsuit(b, c)),
-                )
-    return ck.report()
-
-
-def _law_club_mixed_product() -> LawReport:
-    ck = _Checker("club-mixed-product")
-    for a in range(10):
-        for b in range(10):
-            for c in range(10):
-                ck.check((a, b, c), clubsuit(a * b, c), clubsuit(a, b * c))
-    return ck.report()
-
-
-def _law_club_shift_ten() -> LawReport:
-    ck = _Checker("club-shift-ten")
-    for a in range(10, 20):
-        for b in range(10, 20):
-            v = clubsuit(a, b)
-            ck.check((a, b), v, clubsuit(a - 10, b))
-            ck.check((a, b), v, clubsuit(a, b - 10))
-            ck.check((a, b), v, clubsuit(a - 10, b - 10))
-    return ck.report()
-
-
-def _law_club_even_shift_five() -> LawReport:
-    ck = _Checker("club-even-shift-five")
-    for a in range(0, 10, 2):
-        for b in range(5, 10):
-            ck.check((a, b), clubsuit(a, b), clubsuit(a, b - 5))
-    return ck.report()
-
-
-def _law_club_parity_shift_five() -> LawReport:
-    ck = _Checker("club-parity-shift-five")
-    for a in range(5, 10):
-        for b in range(5, 10):
-            if (a + b) % 2 == 1:
-                ck.check((a, b), clubsuit(a, b), clubsuit(a - 5, b - 5))
-    return ck.report()
-
-
 def _suite_clubsuit_laws() -> list[LawReport]:
     return [
-        _law_club_commutative(),
-        _law_club_associative(),
-        _law_club_mixed_product(),
-        _law_club_shift_ten(),
-        _law_club_even_shift_five(),
-        _law_club_parity_shift_five(),
+        _sweep(
+            "club-commutative",
+            ((_agree, (a, b), (clubsuit(a, b), clubsuit(b, a))) for a, b in product(range(10), repeat=2)),
+        ),
+        _sweep(
+            "club-associative",
+            (
+                (_agree, (a, b, c), (clubsuit(clubsuit(a, b), c), clubsuit(a, clubsuit(b, c))))
+                for a, b, c in product(range(10), repeat=3)
+            ),
+        ),
+        _sweep(
+            "club-mixed-product",
+            ((_agree, (a, b, c), (clubsuit(a * b, c), clubsuit(a, b * c))) for a, b, c in product(range(10), repeat=3)),
+        ),
+        _sweep(
+            "club-shift-ten",
+            (
+                (_agree, (a, b), (clubsuit(a, b), clubsuit(x, y)))
+                for a, b in product(range(10, 20), repeat=2)
+                for x, y in ((a - 10, b), (a, b - 10), (a - 10, b - 10))
+            ),
+        ),
+        _sweep(
+            "club-even-shift-five",
+            ((_agree, (a, b), (clubsuit(a, b), clubsuit(a, b - 5))) for a in range(0, 10, 2) for b in range(5, 10)),
+        ),
+        _sweep(
+            "club-parity-shift-five",
+            (
+                (_agree, (a, b), (clubsuit(a, b), clubsuit(a - 5, b - 5)))
+                for a, b in product(range(5, 10), repeat=2)
+                if (a + b) % 2 == 1
+            ),
+        ),
     ]
 
 
@@ -278,15 +261,16 @@ def _suite_clubsuit_laws() -> list[LawReport]:
 
 
 def _suite_carry_theorem() -> list[LawReport]:
-    ck = _Checker("carry-closed-form")
-    deltas = set()
-    for a in range(1, 10):
-        for b in range(1, 10):
-            ck.check((a, b), carry(a, b), carry_closed_form(a, b))
-            d = delta(a, b)
-            ck.record((a, b), min(0, max(-2, d)), d)  # the nearest allowed delta
-            deltas.add(d)
-    return [ck.report("delta values " + str(sorted(deltas)))]
+    deltas = {(a, b): delta(a, b) for a, b in product(range(1, 10), repeat=2)}
+    cases = (
+        case
+        for (a, b), d in deltas.items()
+        for case in (
+            (_agree, (a, b), (carry(a, b), carry_closed_form(a, b))),
+            (_also, (a, b), (min(0, max(-2, d)), d)),  # the nearest allowed delta
+        )
+    )
+    return [_sweep("carry-closed-form", cases, f"delta values {sorted(set(deltas.values()))}")]
 
 
 # --- wedge propositions ------------------------------------------------------
@@ -302,88 +286,73 @@ def _wedge_values(multipliers: range) -> dict[tuple[int, int, int], int]:
 
 
 def _law_wedge_bounds() -> LawReport:
-    ck = _Checker("wedge-bounds")
     values = _wedge_values(range(10))
-    for abc, v in values.items():
-        ck.check(abc, 1, 1 if -6 <= v <= 11 else 0)
-        ck.record(abc, 1 if abc == (7, 9, 9) else 0, 1 if v == 11 else 0)  # 11 is attained at (7, 9, 9) only
     lo_at = min(values, key=values.get)
-    ck.record(lo_at, -6, values[lo_at])  # -6 is attained
-    ck.record((7, 8, 9), 10, values[7, 8, 9])
     argmax = [abc for abc, v in values.items() if v == 11]
-    return ck.report(f"min {values[lo_at]}, max {max(values.values())}, max attained at {argmax}")
+    cases = [
+        case
+        for abc, v in values.items()
+        for case in (
+            (_agree, abc, (1, int(-6 <= v <= 11))),
+            (_also, abc, (int(abc == (7, 9, 9)), int(v == 11))),  # 11 is attained at (7, 9, 9) only
+        )
+    ]
+    cases += [(_also, lo_at, (-6, values[lo_at])), (_also, (7, 8, 9), (10, values[7, 8, 9]))]  # -6 and 10 are attained
+    return _sweep("wedge-bounds", cases, f"min {values[lo_at]}, max {max(values.values())}, max attained at {argmax}")
 
 
 def _law_wedge_max_below_ten() -> LawReport:
-    ck = _Checker("wedge-max-excluding-nine")
     values = _wedge_values(range(9))
-    for abc, v in values.items():
-        ck.check(abc, 1, 1 if v <= 9 else 0)
     hi_at = max(values, key=values.get)
-    ck.check(hi_at, WEDGE_MAX_EXCLUDING_NINE, values[hi_at])
-    return ck.report(f"true maximum over c != 9 is {values[hi_at]}")
-
-
-def _law_wedge_shift_a_five() -> LawReport:
-    ck = _Checker("wedge-shift-a-five-even-c")
-    for c in range(0, 10, 2):
-        for a in range(5):
-            for b in range(10):
-                ck.check((a, b, c), wedge(a, b, c), wedge(a + 5, b, c))
-    return ck.report()
-
-
-def _law_wedge_shift_b_five() -> LawReport:
-    ck = _Checker("wedge-shift-b-five-even-c")
-    for c in range(0, 10, 2):
-        for a in range(10):
-            for b in range(5):
-                ck.check((a, b, c), wedge(a, b, c) + c // 2, wedge(a, b + 5, c))
-    return ck.report()
-
-
-def _law_wedge_monotone_b() -> LawReport:
-    ck = _Checker("wedge-monotone-in-b")
-    for a in range(10):
-        for c in range(10):
-            for b in range(9):
-                ok = wedge(a, b, c) <= wedge(a, b + 1, c)
-                ck.check((a, b, c), 1, 1 if ok else 0)
-    return ck.report()
-
-
-def _law_wedge_step_a() -> LawReport:
-    ck = _Checker("wedge-step-in-a")
-    for a in range(9):
-        for b in range(10):
-            for c in range(10):
-                diff = wedge(a + 1, b, c) - wedge(a, b, c)
-                ck.check((a, b, c), 1, 1 if diff in (c, c - 10) else 0)
-    return ck.report()
+    cases = [(_agree, abc, (1, int(v <= 9))) for abc, v in values.items()]
+    cases.append((_agree, hi_at, (WEDGE_MAX_EXCLUDING_NINE, values[hi_at])))
+    return _sweep("wedge-max-excluding-nine", cases, f"true maximum over c != 9 is {values[hi_at]}")
 
 
 def _suite_wedge_props() -> list[LawReport]:
     return [
         _law_wedge_bounds(),
         _law_wedge_max_below_ten(),
-        _law_wedge_shift_a_five(),
-        _law_wedge_shift_b_five(),
-        _law_wedge_monotone_b(),
-        _law_wedge_step_a(),
+        _sweep(
+            "wedge-shift-a-five-even-c",
+            (
+                (_agree, (a, b, c), (wedge(a, b, c), wedge(a + 5, b, c)))
+                for c in range(0, 10, 2)
+                for a in range(5)
+                for b in range(10)
+            ),
+        ),
+        _sweep(
+            "wedge-shift-b-five-even-c",
+            (
+                (_agree, (a, b, c), (wedge(a, b, c) + c // 2, wedge(a, b + 5, c)))
+                for c in range(0, 10, 2)
+                for a in range(10)
+                for b in range(5)
+            ),
+        ),
+        _sweep(
+            "wedge-monotone-in-b",
+            (
+                (_agree, (a, b, c), (1, int(wedge(a, b, c) <= wedge(a, b + 1, c))))
+                for a in range(10)
+                for c in range(10)
+                for b in range(9)
+            ),
+        ),
+        _sweep(
+            "wedge-step-in-a",
+            (
+                (_agree, (a, b, c), (1, int(wedge(a + 1, b, c) - wedge(a, b, c) in (c, c - 10))))
+                for a in range(9)
+                for b in range(10)
+                for c in range(10)
+            ),
+        ),
     ]
 
 
 # --- wedge theorems ----------------------------------------------------------
-
-
-def _law_wedge_diagonal() -> LawReport:
-    ck = _Checker("wedge-diagonal-pair")
-    for a in range(1, 10):
-        for b in range(1, 10):
-            tens, ones = divmod(a * b, 10)
-            expected = tens + ones if ones <= 3 else tens + ones - 9
-            ck.check((a, b), expected, wedge(a, a, b))
-    return ck.report()
 
 
 def _delta_ext(a: int, c: int) -> int:
@@ -392,104 +361,94 @@ def _delta_ext(a: int, c: int) -> int:
     return carry(a, c) - min(a, c)
 
 
-def _law_wedge_successor() -> LawReport:
-    ck = _Checker("wedge-successor")
-    for a in range(9):
-        for c in range(1, 10):
-            same = _delta_ext(a + 1, c) == _delta_ext(a, c)
-            plain_case = (a >= c and same) or (a < c and not same)
-            for b in range(c, 10):
-                base = clubsuit(a + 1, c) + _delta_ext(b, c)
-                expected = base if plain_case else base + 10
-                ck.check((a, b, c), expected, wedge(a, b, c))
-    return ck.report()
-
-
 def _suite_wedge_theorems() -> list[LawReport]:
-    return [_law_wedge_diagonal(), _law_wedge_successor()]
+    return [
+        _sweep(
+            "wedge-diagonal-pair",
+            (
+                (_agree, (a, b), (tens + ones - (9 if ones > 3 else 0), wedge(a, a, b)))
+                for a, b in product(range(1, 10), repeat=2)
+                for tens, ones in [divmod(a * b, 10)]
+            ),
+        ),
+        _sweep(
+            "wedge-successor",
+            (
+                # no +10 exactly when a >= c agrees with the delta staying the same from a to a + 1
+                (_agree, (a, b, c), (clubsuit(a + 1, c) + _delta_ext(b, c) + (0 if plain else 10), wedge(a, b, c)))
+                for a in range(9)
+                for c in range(1, 10)
+                for plain in [(a >= c) == (_delta_ext(a + 1, c) == _delta_ext(a, c))]
+                for b in range(c, 10)
+            ),
+        ),
+    ]
 
 
 # --- table patterns ----------------------------------------------------------
 
 
-def _column_group(ck: _Checker, c: int, cols: tuple[int, ...]) -> None:
-    """All listed columns of the table for ``c`` are pairwise equal (per row)."""
-    for a in range(10):
-        first = wedge(a, cols[0], c)
-        for b in cols[1:]:
-            ck.check((a, b, c), first, wedge(a, b, c))
-
-
 def _pattern_column_groups(law: str, c: int, groups: tuple[tuple[int, ...], ...]) -> LawReport:
-    ck = _Checker(law)
-    for cols in groups:
-        _column_group(ck, c, cols)
-    return ck.report()
+    """All listed columns of each group in the table for ``c`` are pairwise equal (per row)."""
+    cases = (
+        (_agree, (a, b, c), (wedge(a, cols[0], c), wedge(a, b, c)))
+        for cols in groups
+        for a in range(10)
+        for b in cols[1:]
+    )
+    return _sweep(law, cases)
 
 
-def _pattern_shift_b(law: str, c: int, step: int, wrap: int | None = None) -> LawReport:
-    # ``wrap`` pins a recorded exception column: the source statement is known
-    # to fail exactly at b == wrap (a carry wrap), and the report only holds if
-    # reality matches that pinned characterization.
-    ck = _Checker(law)
-    for a in range(10):
-        for b in range(7):
-            holds = wedge(a, b + 3, c) == wedge(a, b, c) + step
-            ck.check((a, b, c), 0 if b == wrap else 1, 1 if holds else 0)
-    detail = f"source statement fails exactly at b={wrap} (carry wrap)" if wrap is not None else ""
-    return ck.report(detail)
+def _pattern_shift(law: str, c: int, shift: tuple[int, int], step: int, wrap: int | None = None) -> LawReport:
+    """Shifting ``(a, b)`` by ``shift`` (+3 in one digit) adds ``step`` to the wedge product.
+
+    ``wrap`` pins a recorded exception: the source statement is known to fail
+    exactly where the shifted digit is ``wrap`` (a residue wrap in a, a carry
+    wrap in b), and the report only holds if reality matches that pinned
+    characterization.
+    """
+    da, db = shift
+    cases = (
+        (_agree, (a, b, c), (int((a if da else b) != wrap), int(wedge(a + da, b + db, c) == wedge(a, b, c) + step)))
+        for a in range(10 - da)
+        for b in range(10 - db)
+    )
+    digit, cause = ("a", "residue") if da else ("b", "carry")
+    detail = f"source statement fails exactly at {digit}={wrap} ({cause} wrap)" if wrap is not None else ""
+    return _sweep(law, cases, detail)
 
 
-def _pattern_shift_a(law: str, c: int, step: int, wrap: int | None = None) -> LawReport:
-    ck = _Checker(law)
-    for a in range(7):
-        for b in range(10):
-            holds = wedge(a + 3, b, c) == wedge(a, b, c) + step
-            ck.check((a, b, c), 0 if a == wrap else 1, 1 if holds else 0)
-    detail = f"source statement fails exactly at a={wrap} (residue wrap)" if wrap is not None else ""
-    return ck.report(detail)
-
-
-def _pattern_c5_rows() -> LawReport:
-    ck = _Checker("c5-rows-period-two")
-    for a in range(8):
-        for b in range(10):
-            ck.check((a, b, 5), wedge(a, b, 5), wedge(a + 2, b, 5))
-    return ck.report()
-
-
-def _pattern_c9_identity(law: str, amin: int, amax: int, bmin: int, bmax: int, offset: int) -> LawReport:
-    ck = _Checker(law)
-    for a in range(amin, amax + 1):
-        for b in range(bmin, bmax + 1):
-            ck.check((a, b, 9), b - a + offset, wedge(a, b, 9))
-    return ck.report()
+def _pattern_c9_identity(law: str, a_digits: range, b_digits: range, offset: int) -> LawReport:
+    cases = ((_agree, (a, b, 9), (b - a + offset, wedge(a, b, 9))) for a, b in product(a_digits, b_digits))
+    return _sweep(law, cases)
 
 
 def _suite_table_patterns() -> list[LawReport]:
-    reports = [
+    return [
         _pattern_column_groups("c1-column-groups", 1, ((0, 1, 2, 3), (4, 5, 6, 7, 8, 9))),
         _pattern_column_groups("c2-columns-0-1", 2, ((0, 1),)),
         _pattern_column_groups("c2-columns-2-6", 2, ((2, 3, 4, 5, 6),)),
         _pattern_column_groups("c2-columns-7-9", 2, ((7, 8, 9),)),
-        _pattern_shift_b("c3-shift-b-plus-3", 3, 1),
-        _pattern_shift_a("c3-shift-a-plus-3", 3, -1),
+        _pattern_shift("c3-shift-b-plus-3", 3, (0, 3), 1),
+        _pattern_shift("c3-shift-a-plus-3", 3, (3, 0), -1),
         _pattern_column_groups("c3-columns-around-3k", 3, ((2, 3, 4), (5, 6, 7), (8, 9))),
         _pattern_column_groups("c4-column-groups", 4, ((1, 2, 3), (4, 5), (6, 7, 8))),
-        _pattern_c5_rows(),
-        _pattern_shift_b("c6-shift-b-plus-3", 6, 2, wrap=4),
-        _pattern_shift_a("c6-shift-a-plus-3", 6, -2, wrap=4),
+        _sweep(
+            "c5-rows-period-two",
+            ((_agree, (a, b, 5), (wedge(a, b, 5), wedge(a + 2, b, 5))) for a in range(8) for b in range(10)),
+        ),
+        _pattern_shift("c6-shift-b-plus-3", 6, (0, 3), 2, wrap=4),
+        _pattern_shift("c6-shift-a-plus-3", 6, (3, 0), -2, wrap=4),
         _pattern_column_groups("c6-column-pairs", 6, ((1, 2), (4, 5), (6, 7))),
-        _pattern_shift_b("c7-shift-b-plus-3", 7, 2),
-        _pattern_shift_a("c7-shift-a-plus-3", 7, 1),
+        _pattern_shift("c7-shift-b-plus-3", 7, (0, 3), 2),
+        _pattern_shift("c7-shift-a-plus-3", 7, (3, 0), 1),
         _pattern_column_groups("c7-columns-3k", 7, ((2, 3), (5, 6), (8, 9))),
         _pattern_column_groups("c8-column-pairs", 8, ((3, 4), (8, 9))),
         _pattern_column_groups("c9-columns-6-7", 9, ((6, 7),)),
-        _pattern_c9_identity("c9-low-low", 0, 6, 0, 6, 0),
-        _pattern_c9_identity("c9-low-high", 0, 6, 7, 9, -1),
-        _pattern_c9_identity("c9-high-high", 7, 9, 7, 9, 9),
+        _pattern_c9_identity("c9-low-low", range(7), range(7), 0),
+        _pattern_c9_identity("c9-low-high", range(7), range(7, 10), -1),
+        _pattern_c9_identity("c9-high-high", range(7, 10), range(7, 10), 9),
     ]
-    return reports
 
 
 _SUITE_RUNNERS = {

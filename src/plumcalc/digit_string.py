@@ -23,7 +23,7 @@ from __future__ import annotations
 import builtins
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 __all__ = [
     "DigitString",
@@ -33,7 +33,6 @@ __all__ = [
     "segment",
     "normalize",
     "normalize_stats",
-    "value_of",
 ]
 
 _GROUP_SEPARATORS = " _"
@@ -211,11 +210,6 @@ def segment(ds: DigitString, length: int) -> SegmentString:
     text = padded.translate(_NUMERAL_BYTES)
     segments = tuple(_text_value(text[i : i + length]) for i in range(0, len(text), length))
     return SegmentString(length=length, segments=segments)
-
-
-def value_of(s: SignedDigitString | Iterable[int]) -> int:
-    """Exact integer value of a signed column sequence (empty sum is 0)."""
-    return _horner(s.columns if isinstance(s, SignedDigitString) else tuple(s), 10)
 
 
 def normalize_stats(s: SignedDigitString, radix_power: int = 1) -> tuple[DigitString, int]:

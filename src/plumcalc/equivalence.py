@@ -1,23 +1,23 @@
 """Differential checks: every method against the schoolbook oracle.
 
-Each sweep is a stream of ``(check, x, y)`` cases fed to one driver that sums
-the case counts the checks return and collects their violations into a
-:class:`LawReport`.  The sweeps are exhaustive on a small-operand box, plus
-one-sided sweeps over all four-digit values, then seeded random pairs up to
-64 digits.  The default box keeps an exhaustive all-pairs run affordable; the
-bound can be raised via the ``limit`` arguments (``plumcalc verify --limit``;
-the acceptance suite reads it from the ``PLUMCALC_EXHAUSTIVE_LIMIT``
-environment variable).
+Each sweep is a stream of ``(check, x, y)`` cases fed to ``digit_core``'s
+``_sweep``, the driver that also runs the digit laws: it sums the counts the
+checks return and collects their violations into a :class:`LawReport`.  The
+sweeps are exhaustive on a small-operand box, plus one-sided sweeps over all
+four-digit values, then seeded random pairs up to 64 digits.  The default box
+keeps an exhaustive all-pairs run affordable; the bound can be raised via the
+``limit`` arguments (``plumcalc verify --limit``; the acceptance suite reads it
+from the ``PLUMCALC_EXHAUSTIVE_LIMIT`` environment variable).
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 from .cross_mul import MUL_METHODS, wedge_mul_single
-from .digit_core import LawReport
+from .digit_core import LawReport, _sweep
 from .digit_string import DigitString
 from .oracle import Nat, o_divmod, o_mul
 from . import plum_div
@@ -70,15 +70,6 @@ def _random_operand(rng: random.Random, max_digits: int) -> _Operand:
     return a, Nat.from_digits(a.digits), int(a)
 
 
-def _sweep(law: str, detail: str, cases: Iterable[_Case]) -> LawReport:
-    """Run every case, summing the counts its check returns, into one report."""
-    violations: list = []
-    count = 0
-    for check, x, y in cases:
-        count += check(violations, x, y)
-    return LawReport(law, count, tuple(violations), detail)
-
-
 def _one_sided(check: Callable[..., int], others: tuple[int, ...]) -> Iterator[_Case]:
     """Every value below 10**4 against each of ``others``, built as it is needed."""
     fixed = [_operand(v) for v in others]
@@ -101,16 +92,16 @@ def verify_mul_equivalence(
     random pairs of up to ``RANDOM_MAX_DIGITS`` digits.
     """
     return [
-        _sweep("mul-equiv-exhaustive", f"all pairs below {limit}", _mul_box(limit)),
+        _sweep("mul-equiv-exhaustive", _mul_box(limit), f"all pairs below {limit}"),
         _sweep(
             "mul-equiv-one-sided",
-            f"all values below 10^4 times {ONE_SIDED_MULTIPLIERS}",
             _one_sided(_mul_check, ONE_SIDED_MULTIPLIERS),
+            f"all values below 10^4 times {ONE_SIDED_MULTIPLIERS}",
         ),
         _sweep(
             "mul-equiv-random",
-            f"{random_pairs} pairs up to {RANDOM_MAX_DIGITS} digits",
             _mul_random(random_pairs, seed),
+            f"{random_pairs} pairs up to {RANDOM_MAX_DIGITS} digits",
         ),
     ]
 
@@ -164,16 +155,16 @@ def verify_div_equivalence(
     are one computation, so each case runs ``divmod`` once and counts one.
     """
     return [
-        _sweep("div-equiv-exhaustive", f"all pairs below {limit}", _div_box(limit)),
+        _sweep("div-equiv-exhaustive", _div_box(limit), f"all pairs below {limit}"),
         _sweep(
             "div-equiv-one-sided",
-            f"all dividends below 10^4 over divisors {ONE_SIDED_DIVISORS}",
             _one_sided(_div_check, ONE_SIDED_DIVISORS),
+            f"all dividends below 10^4 over divisors {ONE_SIDED_DIVISORS}",
         ),
         _sweep(
             "div-equiv-random",
-            f"{random_pairs} pairs up to {RANDOM_MAX_DIGITS} digits",
             _div_random(random_pairs, seed),
+            f"{random_pairs} pairs up to {RANDOM_MAX_DIGITS} digits",
         ),
     ]
 

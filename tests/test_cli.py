@@ -105,6 +105,11 @@ def test_mul_trace(capsys):
     assert "242556" in out
     code, out, _ = run(capsys, "mul", "348", "697", "--method", "wedge", "--trace", "--ascii")
     assert code == 0 and out.isascii()
+    # a zero product keeps the segment length it was asked for, and only that
+    for method, *options in [("cross",), ("plum",), ("wedge",), ("cross", "--segment", "3")]:
+        code, out, _ = run(capsys, "mul", "0", "5", "--method", method, *options, "--trace")
+        header = f"0 × 5  [{method}]" + (" (segments of 3)" if options else "")
+        assert (code, out.splitlines()) == (0, [header, "  col 0: 0 = 0", "  columns: (0)", "  product: 0"])
 
 
 def test_mul_rejects_negative(capsys):

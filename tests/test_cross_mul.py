@@ -406,15 +406,14 @@ def kernel_shapes():
 @example((1, (9,) * 16, (9,) * 16))
 @example((7, (0,) * 15 + (1,), (9_999_999,) * 16))
 @example((1, (0, 0), (4, 0)))  # divisor 100: its tail is all zeros
+@example((7, (0,) * 16, (9_999_999,) * 16))  # zero columns, but factors that need four-byte slots
 def test_basecase_and_packed_columns_agree(monkeypatch, shape):
     # the kernel takes digits with leading zeros (divmod passes them), and
     # cross also takes segments of any length; each path is set for each example
     seg_len, xs, ys = shape
     columns = []
     for _ in kernel_paths(monkeypatch):
-        # rapid_mul never passes a zero factor, whose packed slots would be sized from 0
-        cross = cross_mul._convolve(xs, ys) if any(xs) and any(ys) else None
-        columns.append((cross, cross_mul._wedge_columns(xs, ys) if seg_len == 1 else None))
+        columns.append((cross_mul._convolve(xs, ys), cross_mul._wedge_columns(xs, ys) if seg_len == 1 else None))
     assert columns[0] == columns[1]
 
 

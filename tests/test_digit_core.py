@@ -265,6 +265,51 @@ def test_c6_shift_statements_fail_exactly_at_wrap_points():
     assert "fails exactly at a=4" in by_name["c6-shift-a-plus-3"].detail
 
 
+LAW_PINS = [
+    ("club-commutative", 100, ""),
+    ("club-associative", 1000, ""),
+    ("club-mixed-product", 1000, ""),
+    ("club-shift-ten", 300, ""),
+    ("club-even-shift-five", 25, ""),
+    ("club-parity-shift-five", 12, ""),
+    ("carry-closed-form", 81, "delta values [-2, -1, 0]"),
+    ("wedge-bounds", 1000, "min -6, max 11, max attained at [(7, 9, 9)]"),
+    ("wedge-max-excluding-nine", 901, "true maximum over c != 9 is 9"),
+    ("wedge-shift-a-five-even-c", 250, ""),
+    ("wedge-shift-b-five-even-c", 250, ""),
+    ("wedge-monotone-in-b", 900, ""),
+    ("wedge-step-in-a", 900, ""),
+    ("wedge-diagonal-pair", 81, ""),
+    ("wedge-successor", 405, ""),
+    ("c1-column-groups", 80, ""),
+    ("c2-columns-0-1", 10, ""),
+    ("c2-columns-2-6", 40, ""),
+    ("c2-columns-7-9", 20, ""),
+    ("c3-shift-b-plus-3", 70, ""),
+    ("c3-shift-a-plus-3", 70, ""),
+    ("c3-columns-around-3k", 50, ""),
+    ("c4-column-groups", 50, ""),
+    ("c5-rows-period-two", 80, ""),
+    ("c6-shift-b-plus-3", 70, "source statement fails exactly at b=4 (carry wrap)"),
+    ("c6-shift-a-plus-3", 70, "source statement fails exactly at a=4 (residue wrap)"),
+    ("c6-column-pairs", 30, ""),
+    ("c7-shift-b-plus-3", 70, ""),
+    ("c7-shift-a-plus-3", 70, ""),
+    ("c7-columns-3k", 30, ""),
+    ("c8-column-pairs", 20, ""),
+    ("c9-columns-6-7", 10, ""),
+    ("c9-low-low", 49, ""),
+    ("c9-low-high", 21, ""),
+    ("c9-high-high", 9, ""),
+]
+
+
+def test_every_law_report_is_pinned():
+    # the domain each law sweeps is part of its claim: a case dropped or
+    # counted twice changes a size here even when every case holds
+    assert [(r.law, r.domain_size, r.detail) for r in verify_laws("all")] == LAW_PINS
+
+
 def test_verify_all_concatenates_every_suite():
     reports = verify_laws("all")
     assert len(reports) == sum(len(verify_laws(s)) for s in LAW_SUITES)

@@ -22,7 +22,6 @@ from plumcalc.digit_string import (
     normalize_stats,
     parse,
     segment,
-    value_of,
 )
 from strategies import numerals
 
@@ -91,10 +90,10 @@ def test_segment_reassemble_identity(value, length):
 
 
 def test_value_of_examples():
-    assert value_of(SignedDigitString((17, 12, -6, 2))) == 18142
-    assert value_of(SignedDigitString((2, 4, 2, 5, 6, -4))) == 242556
-    assert value_of(SignedDigitString(())) == 0
-    assert value_of([3, 2, 1, -2, 4, 7, 8, 2, 2]) == 320847822
+    assert SignedDigitString((17, 12, -6, 2)).value() == 18142
+    assert SignedDigitString((2, 4, 2, 5, 6, -4)).value() == 242556
+    assert SignedDigitString(()).value() == 0
+    assert SignedDigitString((3, 2, 1, -2, 4, 7, 8, 2, 2)).value() == 320847822
 
 
 def test_normalize_examples():

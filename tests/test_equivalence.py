@@ -19,6 +19,8 @@ def test_broken_mul_method_fails_every_mul_sweep(monkeypatch):
     reports = equivalence.verify_mul_equivalence(limit=3, random_pairs=2, seed=7)
     assert [r.law for r in reports] == ["mul-equiv-exhaustive", "mul-equiv-one-sided", "mul-equiv-random"]
     assert [len(r.violations) for r in reports] == [9, 10_000, 2]
+    # every method counts once per pair, and the single-digit method once per multiplier
+    assert [r.domain_size for r in reports] == [57, 30_000, 8]
     for report in reports:
         assert not report.holds
         for (x, y), expected, actual in report.violations:

@@ -47,11 +47,12 @@ def test_render_mul_one_line_per_column():
 
 
 def test_render_mul_zero_operand():
-    _, trace = plum_mul(ds(123), ds(0))
-    rendered = render_mul(trace)
-    col_lines = [line for line in rendered.lines if line.lstrip().startswith("col ")]
-    assert len(col_lines) == 1
-    assert col_lines[0].endswith("= 0")
+    # a zero product has one column in radix 10, so no "(segments of ...)" suffix
+    for (_, trace), header in [
+        (plum_mul(ds(123), ds(0)), "123 × 0  [plum]"),
+        (wedge_mul_single(ds(0), 7), "0 × 7  [wedge_single]"),
+    ]:
+        assert render_mul(trace).lines == (header, "  col 0: 0 = 0", "  columns: (0)", "  product: 0")
 
 
 def test_render_mul_term_text():
