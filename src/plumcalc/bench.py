@@ -1,11 +1,12 @@
 """Deterministic micro-benchmark harness for the multiplication methods.
 
-Counts follow from the method, the operand lengths and the signed columns each
-method returns (no trace's term breakdown is built), so two runs with the same
-seed and configuration emit identical metrics; only the elapsed wall time
-differs.  ``elapsed_ns`` times the multiplication call alone (column kernel and
-``normalize``).  Every trial's result is checked against the schoolbook oracle
-before any metric for it is recorded — a mismatch aborts the run.
+Each trial runs the path every multiplication takes, the method's signed
+columns (``cross_mul._columns``) and one ``normalize_stats``, and builds no
+trace, so counts follow from the method, the operand lengths and those columns:
+two runs with the same seed and configuration emit identical metrics; only the
+elapsed wall time differs.  ``elapsed_ns`` times exactly the column kernel and
+``normalize``.  Every trial's product is checked against Python's ``int``
+product before any metric for it is recorded — a mismatch aborts the run.
 
 Counting rules (fixed, documented here so the CSV is comparable across runs):
 each residue or carry lookup counts as one single-digit multiplication, a kept
@@ -25,10 +26,9 @@ import time
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cross_mul import MUL_METHODS, wedge_mul_single
-from .digit_string import normalize_stats
+from .cross_mul import MUL_METHODS, _columns
+from .digit_string import SignedDigitString, _decimal_text, normalize_stats
 from .equivalence import _random_digits, _seeded_rng
-from .oracle import Nat, o_mul
 
 __all__ = ["BenchMetrics", "run_bench", "metrics_to_csv", "BENCH_METHODS", "CSV_HEADER"]
 
@@ -67,7 +67,7 @@ def run_bench(
     seed: int,
     methods: Sequence[str] = BENCH_METHODS,
 ) -> list[BenchMetrics]:
-    """Run every (method, size) cell, oracle-checking each trial before counting.
+    """Run every (method, size) cell, checking each trial's product against ``int`` before counting.
 
     Operands are drawn from a per-(size, trial) seeded generator, so the
     result set is independent of execution order.  Output rows are sorted by
@@ -93,20 +93,21 @@ def run_bench(
                 b = _random_digits(_seeded_rng(seed, method, size, trial, 1), 1 if single else size)
 
                 start = time.perf_counter_ns()
-                product, trace = wedge_mul_single(a, b[0]) if single else MUL_METHODS[method](a, b)
+                columns = _columns(method, a, b, 1)
+                product, carries = normalize_stats(SignedDigitString(tuple(columns)))
                 elapsed += time.perf_counter_ns() - start
 
-                expected = o_mul(Nat.from_digits(a.digits), Nat.from_digits(b.digits))
-                if str(product) != str(expected):
+                expected = int(a) * int(b)
+                if int(product) != expected:
                     raise RuntimeError(
-                        f"oracle mismatch for {method} on {a} * {b}: got {product}, expected {expected}"
+                        f"product mismatch for {method} on {a} * {b}: got {product}, expected {_decimal_text(expected)}"
                     )
 
-                magnitudes = [abs(col) for col in trace.signed.columns]
+                magnitudes = [abs(col) for col in columns]
                 col_sum += sum(magnitudes)
                 col_max = max(col_max, *magnitudes)
                 col_count += len(magnitudes)
-                carry_count += normalize_stats(trace.signed, trace.radix_power)[1]
+                carry_count += carries
             mul_count = trials * _mul_count(method, size, 1 if single else size)
             results.append(
                 BenchMetrics(method, size, trials, mul_count, carry_count, col_max, col_sum / col_count, elapsed)

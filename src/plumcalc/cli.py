@@ -46,8 +46,9 @@ MAX_SEGMENT = 100000
 # the exhaustive sweeps check limit**2 pairs each, 10**8 at this bound (the
 # one-sided sweeps' 10**4 range), from limit operands built up front
 MAX_LIMIT = 10000
-# every trial is checked against the oracle, whose product is quadratic: one
-# trial of each method at 4000 digits takes about 12 s (CPython 3.11.7)
+# a trial is one column-kernel call, its normalize and an int product check:
+# one trial of each method at this bound takes about 24 s, plum and wedge
+# 10-12 s each (CPython 3.11.7, 37 MB peak)
 MAX_BENCH_SIZE = 100000
 
 
@@ -270,10 +271,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"plumcalc: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ZeroDivisionError as exc:
-        print(f"plumcalc: error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
-    except RuntimeError as exc:
+    except (ZeroDivisionError, RuntimeError) as exc:
         print(f"plumcalc: error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 

@@ -2,9 +2,10 @@
 
 All three methods build the same kind of intermediate: a signed column
 sequence whose value already equals the product, which :func:`normalize`
-then resolves into canonical digits.  Each method also returns a
-:class:`MulTrace`; the terms that went into every column are built from the
-operands only when :attr:`MulTrace.columns` is first read.
+then resolves into canonical digits.  Every method is one call of
+``_multiply``, which reads the columns from ``_columns``, normalizes them and
+returns a :class:`MulTrace` beside the product; the terms that went into every
+column are built from the operands only when :attr:`MulTrace.columns` is first read.
 
 Column conventions, 0-indexed from the most significant end:
 
@@ -38,9 +39,9 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
-from .digit_core import _CARRY10, _CLUB10, carry, clubsuit
+from .digit_core import _CARRY10, _CLUB10, _WEDGE10, carry, clubsuit
 from .digit_string import (
     DigitString,
     SignedDigitString,
@@ -250,11 +251,20 @@ def _cross_operands(a: DigitString, b: DigitString, seg_len: int) -> tuple[tuple
     return (sa, sb) if len(sa) >= len(sb) else (sb, sa)
 
 
-def _finish(
-    method: str, a: DigitString, b: DigitString, radix_power: int, columns: Iterable[int]
-) -> tuple[DigitString, MulTrace]:
-    """Normalize the signed columns and record the trace."""
-    signed = SignedDigitString(tuple(columns))
+def _columns(method: str, a: DigitString, b: DigitString, radix_power: int) -> list[int]:
+    """Signed columns of ``method`` (``cross`` in radix ``10**radix_power``); a single 0 when a factor is zero."""
+    if a.is_zero or b.is_zero:
+        return [0]
+    if method == "cross":
+        return _convolve(*_cross_operands(a, b, radix_power))
+    if method == "plum":
+        return _plum_columns(a.digits, b.digits)
+    return _wedge_columns(a.digits, b.digits)
+
+
+def _multiply(method: str, a: DigitString, b: DigitString, radix_power: int = 1) -> tuple[DigitString, MulTrace]:
+    """The one path of every multiplication: columns, then ``normalize``, then the trace."""
+    signed = SignedDigitString(tuple(_columns(method, a, b, radix_power)))
     product = normalize(signed, radix_power)
     return product, MulTrace(method, a, b, radix_power, signed, product)
 
@@ -311,12 +321,14 @@ def _diagonal(k: int, m: int, n: int, first: int = 0) -> range:
     return range(max(first, k - n + 1), min(m - 1, k) + 1)
 
 
-# Values of the digit-pair kinds: ``x*y`` split into residue and carry, or into tens and ones.
+# Values of the digit-pair kinds: ``x*y`` split into residue and carry, or into tens and
+# ones; a wedge value is ``[a][b][c]``, of the window ``(a, b)`` against ``c``.
 _PAIR_TABLES = {
     "residue": _CLUB10,
     "carry": _CARRY10,
     "product_tens": tuple(tuple(x * y // 10 for y in range(10)) for x in range(10)),
     "product_ones": tuple(tuple(x * y % 10 for y in range(10)) for x in range(10)),
+    "wedge": _WEDGE10,
 }
 
 
@@ -327,15 +339,13 @@ def _diagonal_terms(kind: str, xs: Sequence[int], ys: Sequence[int], k: int, fir
     its rows are the ``len(xs) - 1`` windows of ``xs``.  Products may pair
     segments; every other kind pairs digits.
     """
-    if kind == "wedge":
-        return [
-            Term(kind, i, k - i, _CLUB10[xs[i]][ys[k - i]] + _CARRY10[xs[i + 1]][ys[k - i]])
-            for i in _diagonal(k, len(xs) - 1, len(ys), first)
-        ]
-    rows = _diagonal(k, len(xs), len(ys), first)
+    wedge = kind == "wedge"
+    rows = _diagonal(k, len(xs) - wedge, len(ys), first)
     if kind == "product":
         return [Term(kind, i, k - i, xs[i] * ys[k - i]) for i in rows]
     table = _PAIR_TABLES[kind]
+    if wedge:
+        return [Term(kind, i, k - i, table[xs[i]][xs[i + 1]][ys[k - i]]) for i in rows]
     return [Term(kind, i, k - i, table[xs[i]][ys[k - i]]) for i in rows]
 
 
@@ -349,9 +359,7 @@ def rapid_mul(a: DigitString, b: DigitString, seg_len: int = 1) -> tuple[DigitSt
     The operand with more segments plays the multiplicand, so the result has
     ``m + n - 1`` columns in radix ``10**seg_len`` whatever the argument order.
     """
-    if a.is_zero or b.is_zero:
-        return _finish("cross", a, b, seg_len, [0])
-    return _finish("cross", a, b, seg_len, _convolve(*_cross_operands(a, b, seg_len)))
+    return _multiply("cross", a, b, seg_len)
 
 
 def plum_mul(a: DigitString, b: DigitString) -> tuple[DigitString, MulTrace]:
@@ -362,9 +370,7 @@ def plum_mul(a: DigitString, b: DigitString) -> tuple[DigitString, MulTrace]:
     above), matching the worked column layouts; every other product appears as
     a residue term plus a carry term one column up.
     """
-    if a.is_zero or b.is_zero:
-        return _finish("plum", a, b, 1, [0])
-    return _finish("plum", a, b, 1, _plum_columns(a.digits, b.digits))
+    return _multiply("plum", a, b)
 
 
 def wedge_mul_single(a: DigitString, c: int) -> tuple[DigitString, MulTrace]:
@@ -376,10 +382,7 @@ def wedge_mul_single(a: DigitString, c: int) -> tuple[DigitString, MulTrace]:
     """
     if not 0 <= c <= 9:
         raise ValueError(f"multiplier must be a digit in 0..9, got {c}")
-    b = DigitString((c,))
-    if a.is_zero or c == 0:
-        return _finish("wedge_single", a, b, 1, [0])
-    return _finish("wedge_single", a, b, 1, _wedge_columns(a.digits, b.digits))
+    return _multiply("wedge_single", a, DigitString((c,)))
 
 
 def wedge_mul(a: DigitString, b: DigitString) -> tuple[DigitString, MulTrace]:
@@ -389,9 +392,7 @@ def wedge_mul(a: DigitString, b: DigitString) -> tuple[DigitString, MulTrace]:
     products of its windows with the multiplier digits along ``i + j == k``,
     for ``len(a) + len(b)`` columns in total.
     """
-    if a.is_zero or b.is_zero:
-        return _finish("wedge", a, b, 1, [0])
-    return _finish("wedge", a, b, 1, _wedge_columns(a.digits, b.digits))
+    return _multiply("wedge", a, b)
 
 
 MUL_METHODS: dict[str, Callable[[DigitString, DigitString], tuple[DigitString, MulTrace]]] = {

@@ -66,9 +66,11 @@ def carry(x: int, y: int) -> int:
     return (x * y + 6) // 10
 
 
-# Digit tables of both primitives, read by ``wedge`` and by the column kernel's byte tables.
+# Digit tables of both primitives, read by the column kernel's byte tables, and
+# of the wedge product ``_WEDGE10[a][b][c]``, read by ``wedge`` and by the trace terms.
 _CLUB10 = tuple(tuple(clubsuit(x, y) for y in range(10)) for x in range(10))
 _CARRY10 = tuple(tuple(carry(x, y) for y in range(10)) for x in range(10))
+_WEDGE10 = tuple(tuple(tuple(_CLUB10[a][c] + _CARRY10[b][c] for c in range(10)) for b in range(10)) for a in range(10))
 
 
 class CarrySplit(NamedTuple):
@@ -126,7 +128,7 @@ def wedge(a: int, b: int, c: int) -> int:
     _require_digit("a", a)
     _require_digit("b", b)
     _require_digit("c", c)
-    return _CLUB10[a][c] + _CARRY10[b][c]
+    return _WEDGE10[a][b][c]
 
 
 @dataclass(frozen=True)

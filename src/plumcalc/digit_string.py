@@ -105,6 +105,14 @@ def _decimal_digits(value: int, count: int = 1) -> bytes:
     return _decimal_text(value, count).encode("ascii").translate(_DIGIT_BYTES)
 
 
+def _has_stray_digit(values: Sequence[int]) -> bool:
+    """Whether ``values`` holds anything other than the integers 0..9."""
+    try:
+        return bool(bytes(values).translate(None, _DIGIT_VALUES))
+    except (TypeError, ValueError):  # a non-integer, or an integer outside 0..255
+        return True
+
+
 @dataclass(frozen=True)
 class DigitString:
     """Canonical base-10 digits of a non-negative integer, most significant first."""
@@ -114,11 +122,7 @@ class DigitString:
     def __post_init__(self) -> None:
         if not self.digits:
             raise ValueError("digit string must not be empty")
-        try:
-            stray = bytes(self.digits).translate(None, _DIGIT_VALUES)
-        except (TypeError, ValueError):  # a non-integer, or an integer outside 0..255
-            stray = True
-        if stray:
+        if _has_stray_digit(self.digits):
             raise ValueError(f"digits must lie in 0..9: {self.digits}")
         if len(self.digits) > 1 and self.digits[0] == 0:
             raise ValueError(f"leading zero in digit string: {self.digits}")

@@ -48,11 +48,11 @@ from __future__ import annotations
 import builtins
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .cross_mul import Term, _diagonal_terms, _wedge_columns
 from .digit_core import carry
-from .digit_string import _DIGIT_VALUES, DigitString, _decimal_digits, _decimal_text, _horner
+from .digit_string import DigitString, _decimal_digits, _decimal_text, _has_stray_digit, _horner
 
 __all__ = ["DivisionStep", "DivisionTrace", "pp0_plum", "pp0_wedge", "pp1", "divmod", "div_decimal", "DIV_METHODS"]
 
@@ -106,21 +106,25 @@ class DivisionTrace:
 
     @cached_property
     def steps(self) -> tuple[DivisionStep, ...]:
-        """One step per dividend digit, built from ``W`` when first read; none for a zero quotient."""
+        """One step per dividend digit, built from ``W`` when first read; none for a zero quotient.
+
+        Step ``n`` subtracts ``PP_n = pp0 + pp1`` from ``interim = 10*r[n-1] + a[n]``.
+        """
         b, c = self.divisor, self.quotient_digits
         lead, second = (b.digits + (0,))[:2]  # a one-digit divisor has no second digit
         division = (self.method, b, c)
-        steps, prev = [], 0
-        for n, (digit, column, r) in enumerate(zip(self.dividend.digits, self._columns, self._remainders()), 1):
-            interim = 10 * prev + digit
+        steps, r = [], 0
+        for n, (digit, column) in enumerate(zip(self.dividend.digits, self._columns), 1):
+            interim = 10 * r + digit
             if n <= len(c):
                 c_n = c[n - 1]
                 carry_n = carry(second, c_n)
-                p0 = column - carry_n
-                steps.append(DivisionStep(n, digit, interim, p0, interim - p0, c_n, lead * c_n + carry_n, r, division))
+                p0, p1 = column - carry_n, lead * c_n + carry_n
+                r = interim - p0 - p1
+                steps.append(DivisionStep(n, digit, interim, p0, interim - p0, c_n, p1, r, division))
             else:
+                r = interim - column
                 steps.append(DivisionStep(n, digit, interim, column, r, None, None, r, division))
-            prev = r
         return tuple(steps)
 
     def pp_reconstruction(self) -> int:
@@ -137,30 +141,12 @@ class DivisionTrace:
         b = self.divisor.digits
         return _horner(self._columns, 10) + b[0] * int(self.quotient) * 10 ** (len(b) - 1)
 
-    def _partial_products(self) -> list[int]:
-        """``PP_n = pp0 + pp1``: ``W[n-1] + b[1]*c[n]``, then ``W[n-1]`` past the quotient."""
-        lead, products = self.divisor.digits[0], list(self._columns)
-        for n, d in enumerate(self.quotient_digits):
-            products[n] += lead * d
-        return products
-
-    def _remainders(self) -> Iterator[int]:
-        """``r[n] = 10*r[n-1] + a[n] - PP_n`` of every step ``n``."""
-        r = 0
-        for digit, pp in zip(self.dividend.digits, self._partial_products()):
-            r = 10 * r + digit - pp
-            yield r
-
 
 def _check_step(c_so_far: Sequence[int], n: int) -> None:
     """Reject a step index below 1, and quotient digits outside 0..9, which would misread the digit tables."""
     if n < 1:
         raise ValueError(f"step index must be positive, got {n}")
-    try:
-        stray = bytes(c_so_far).translate(None, _DIGIT_VALUES)
-    except (TypeError, ValueError):  # a non-integer, or an integer outside 0..255
-        stray = True
-    if stray:
+    if _has_stray_digit(c_so_far):
         raise ValueError(f"quotient digits must lie in 0..9, got {tuple(c_so_far)}")
 
 

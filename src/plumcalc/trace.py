@@ -20,7 +20,7 @@ from operator import getitem
 from typing import Iterable
 
 from .cross_mul import MulTrace, _column_layout, _diagonal, _term_operands
-from .digit_core import _CARRY10, _CLUB10
+from .digit_core import _CARRY10, _CLUB10, _WEDGE10
 from .digit_string import _decimal_text
 from .plum_div import DivisionTrace
 
@@ -60,7 +60,7 @@ def _pair_texts(ascii_only: bool) -> dict[str, tuple]:
         "carry": table(lambda x, y: f"J({x}{club}{y})={_CARRY10[x][y]}"),
         "product_tens": table(lambda x, y: f"tens({x}{times}{y})={x * y // 10}"),
         "product_ones": table(lambda x, y: f"ones({x}{times}{y})={x * y % 10}"),
-        "wedge": tuple(table(lambda b, c: f"{a}{b}{bowtie}{c}={_CLUB10[a][c] + _CARRY10[b][c]}") for a in range(10)),
+        "wedge": tuple(table(lambda b, c: f"{a}{b}{bowtie}{c}={_WEDGE10[a][b][c]}") for a in range(10)),
     }
 
 

@@ -1,13 +1,15 @@
-"""Bench harness: determinism, counting rules, oracle gate."""
+"""Bench harness: determinism, counting rules, product check."""
 
 from __future__ import annotations
 
 import gc
+import re
 import tracemalloc
 
 import pytest
 
 from plumcalc.bench import BENCH_METHODS, CSV_HEADER, BenchMetrics, metrics_to_csv, run_bench
+from plumcalc.equivalence import _random_digits, _seeded_rng
 
 
 def test_run_bench_shape_and_order():
@@ -77,17 +79,32 @@ def test_bench_rejects_bad_config():
         run_bench(sizes=[4], trials=1, seed=0, methods=["fft"])
 
 
-def test_oracle_gate_aborts_on_mismatch(monkeypatch):
-    from plumcalc.cross_mul import MUL_METHODS, plum_mul
-    from plumcalc.digit_string import DigitString
+def test_product_check_aborts_on_mismatch(monkeypatch):
+    from plumcalc import cross_mul
 
-    def broken(a, b):
-        product, trace = plum_mul(a, b)
-        return DigitString((9,)), trace
+    plum_columns = cross_mul._plum_columns
 
-    monkeypatch.setitem(MUL_METHODS, "plum", broken)
-    with pytest.raises(RuntimeError, match="oracle mismatch"):
+    def one_too_high(xs, ys):
+        columns = plum_columns(xs, ys)
+        columns[-1] += 1
+        return columns
+
+    monkeypatch.setattr(cross_mul, "_plum_columns", one_too_high)
+    a, b = (int(_random_digits(_seeded_rng(0, "plum", 3, 0, side), 3)) for side in (0, 1))
+    message = f"product mismatch for plum on {a} * {b}: got {a * b + 1}, expected {a * b}"
+    with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
         run_bench(sizes=[3], trials=1, seed=0, methods=["plum"])
+
+
+def test_every_method_at_1000_digits():
+    # one trial each: past the 640-digit int/str limit that CI sets for this file
+    metrics = run_bench(sizes=[1000], trials=1, seed=1)
+    assert [(m.method, m.mul_count) for m in metrics] == [
+        ("cross", 1_000_000),
+        ("plum", 1_999_998),
+        ("wedge", 2_002_000),
+        ("wedge_single", 2002),
+    ]
 
 
 def test_bench_builds_no_trace_terms(monkeypatch):

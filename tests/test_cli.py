@@ -5,9 +5,11 @@ from __future__ import annotations
 import random
 
 from int_limits import int_digit_limit
-from plumcalc import cli
+from plumcalc import cli, equivalence, plum_div
 from plumcalc.bench import BENCH_METHODS
 from plumcalc.cli import MAX_BENCH_SIZE, MAX_DECIMALS, MAX_LIMIT, MAX_SEGMENT, main
+from plumcalc.cross_mul import MUL_METHODS, plum_mul
+from plumcalc.digit_string import DigitString
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -176,6 +178,27 @@ def test_div_trace_past_the_int_string_limit(capsys):
         assert out.splitlines()[-2].strip() == str(r)
 
 
+def test_error_exits_pinned(capsys, monkeypatch):
+    for argv, message in [
+        (("wedge", "35", "10"), "wedge multiplier must be a single digit, got '10'"),
+        (("mul", "5", "3", "--method", "oracle", "--trace"), "--trace is not available for --method oracle"),
+        (("div", "5", "3", "--method", "oracle", "--trace"), "--trace is not available for --method oracle"),
+        (("div", "5", "3", "--decimals", "-1"), "--decimals must be non-negative, got -1"),
+    ]:
+        assert run(capsys, *argv) == (1, "", f"plumcalc: error: {message}\n")
+
+    wedge_columns = plum_div._wedge_columns
+
+    def last_column_one_high(xs, ys):
+        columns = wedge_columns(xs, ys)
+        columns[-1] += 1
+        return columns
+
+    monkeypatch.setattr(plum_div, "_wedge_columns", last_column_one_high)
+    message = "plum division of 56789 by 369: partial remainder chain diverged: 331 vs 332"
+    assert run(capsys, "div", "56789", "369") == (2, "", f"plumcalc: error: {message}\n")
+
+
 def test_div_by_zero_exits_2(capsys):
     code, _, err = run(capsys, "div", "5", "0")
     assert code == 2 and err.strip()
@@ -211,6 +234,26 @@ def test_verify_equiv_suites_small(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "div-equiv", "--limit", "30", "--random-pairs", "5")
     assert code == 0
     assert "div-equiv-one-sided" in out
+
+
+def test_verify_exits_2_and_lists_violations(capsys, monkeypatch):
+    def broken(a, b):
+        product, trace = plum_mul(a, b)
+        return DigitString.from_int(int(product) + 1), trace
+
+    monkeypatch.setitem(MUL_METHODS, "plum", broken)
+    monkeypatch.setattr(equivalence, "ONE_SIDED_MULTIPLIERS", (7,))  # one multiplier keeps the 10^4 sweep short
+    code, out, err = run(capsys, "verify", "--suite", "mul-equiv", "--limit", "3", "--random-pairs", "1")
+    assert (code, err) == (2, "")
+    lines = out.splitlines()
+    assert lines[-1] == "3 laws checked: VIOLATIONS FOUND"
+    fails = [k for k, line in enumerate(lines) if line.startswith("FAIL ")]
+    assert [lines[k].split()[1] for k in fails] == ["mul-equiv-exhaustive", "mul-equiv-one-sided", "mul-equiv-random"]
+    # at most five of each report's violations are listed, under its FAIL line
+    listed = [lines[start + 1 : end] for start, end in zip(fails, fails[1:] + [len(lines) - 1])]
+    assert [len(below) for below in listed] == [5, 5, 1]
+    assert all(line.startswith("     violation at (") for below in listed for line in below)
+    assert listed[0][0] == "     violation at (0, 0): expected 0, got 1"
 
 
 def test_verify_rejects_limit_below_2(capsys):

@@ -111,6 +111,13 @@ def test_normalize_rejects_negative_value():
         normalize(SignedDigitString((1, -25)))
 
 
+def test_from_int_and_normalize_reject_with_their_messages():
+    with pytest.raises(ValueError, match=re.escape("digit strings represent non-negative integers, got -1")):
+        DigitString.from_int(-1)
+    with pytest.raises(ValueError, match=re.escape("radix power must be positive, got 0")):
+        normalize(SignedDigitString((1,)), 0)
+
+
 signed_columns = st.lists(st.integers(min_value=-500, max_value=500), min_size=0, max_size=24)
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import dataclasses
 
 from plumcalc import equivalence, plum_div
-from plumcalc.cross_mul import MUL_METHODS, plum_mul
+from plumcalc.cross_mul import MUL_METHODS, plum_mul, wedge_mul_single
 from plumcalc.digit_string import DigitString
 
 
@@ -26,6 +26,22 @@ def test_broken_mul_method_fails_every_mul_sweep(monkeypatch):
         for (x, y), expected, actual in report.violations:
             assert (expected, actual) == (x * y, x * y + 1)
     assert {inputs for inputs, _, _ in reports[0].violations} == {(x, y) for x in range(3) for y in range(3)}
+
+
+def test_broken_single_digit_method_fails_both_single_sweeps(monkeypatch):
+    def one_too_high(a, c):
+        product, trace = wedge_mul_single(a, c)
+        return DigitString.from_int(int(product) + 1), trace
+
+    monkeypatch.setattr(equivalence, "wedge_mul_single", one_too_high)
+    monkeypatch.setattr(equivalence, "ONE_SIDED_MULTIPLIERS", (7,))  # one multiplier keeps the 10^4 sweep short
+    exhaustive, one_sided, random_ = equivalence.verify_mul_equivalence(limit=3, random_pairs=2, seed=7)
+    # the one-sided sweep runs no single-digit case
+    assert (one_sided.holds, exhaustive.holds, random_.holds) == (True, False, False)
+    assert list(exhaustive.violations) == [((a, c), a * c, a * c + 1) for a in range(3) for c in range(10)]
+    assert len(random_.violations) == 2
+    for (a, c), expected, actual in random_.violations:
+        assert 0 <= c <= 9 and (expected, actual) == (a * c, a * c + 1)
 
 
 def sweep_with_divmod(monkeypatch, tamper):
