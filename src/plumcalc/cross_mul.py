@@ -5,7 +5,8 @@ sequence whose value already equals the product, which :func:`normalize`
 then resolves into canonical digits.  Every method is one call of
 ``_multiply``, which reads the columns from ``_columns``, normalizes them and
 returns a :class:`MulTrace` beside the product; the terms that went into every
-column are built from the operands only when :attr:`MulTrace.columns` is first read.
+column are built from the operands only when :attr:`MulTrace.columns` is first
+read, by the diagonal walker and pair tables that the trace text is read from.
 
 Column conventions, 0-indexed from the most significant end:
 
@@ -39,7 +40,8 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, NamedTuple, Sequence
+from operator import getitem
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .digit_core import _CARRY10, _CLUB10, _WEDGE10, carry, clubsuit
 from .digit_string import (
@@ -92,7 +94,9 @@ class MulTrace:
     """Record of one multiplication: signed columns and final digits.
 
     The per-column terms are rebuilt from the operands when :attr:`columns`
-    is first read; their totals equal ``signed.columns``.
+    is first read; their totals equal ``signed.columns``.  Those are columns in
+    radix ``10**radix_power``, so on a segment trace ``signed.value()``, which
+    reads them in radix 10, is not the product; :meth:`column_value` is.
     """
 
     method: str
@@ -105,12 +109,11 @@ class MulTrace:
     @cached_property
     def columns(self) -> tuple[ColumnBreakdown, ...]:
         """Every column's terms, most significant column first."""
-        xs, ys = _term_operands(self)
+        xs, ys, layout = _term_layout(self)
+        ys_reversed = ys[::-1]
         columns = []
-        for parts in _column_layout(self):
-            terms = []
-            for kind, k in parts:
-                terms += _diagonal_terms(kind, xs, ys, k)
+        for parts in layout:
+            terms = [term for kind, k in parts for term in _diagonal_terms(kind, xs, ys_reversed, k)]
             columns.append(ColumnBreakdown(tuple(terms), sum(t.value for t in terms)))
         return tuple(columns)
 
@@ -272,58 +275,44 @@ def _multiply(method: str, a: DigitString, b: DigitString, radix_power: int = 1)
 # ---------------------------------------------------------------------------
 # Trace terms, generated when ``MulTrace.columns`` or a division step's terms
 # are read.  Every term list is made of whole or clipped diagonals
-# ``i + j == k`` of an operand grid, built by ``_diagonal_terms``: the parts
-# ``_column_layout`` lists for each multiplication column here, and one per
-# step in ``plum_div``, whose partial products pair the divisor with the
-# quotient digits chosen so far.  ``trace.render_mul`` writes the same layout
-# as text without building terms.
+# ``i + j == k`` of an operand grid, walked by ``_diagonal_cells``: the parts
+# ``_term_layout`` lists for each multiplication column here, and one per step
+# in ``plum_div``, whose partial products pair the divisor with the quotient
+# digits chosen so far.  ``_diagonal_terms`` reads the cells' values from
+# ``_PAIR_TABLES``; ``trace.render_mul`` reads their text from tables built
+# from ``_PAIR_TABLES``, and so builds no term.
 
 
-def _term_operands(trace: MulTrace) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The two sequences the term indices of ``trace`` point into; empty when a factor is zero.
+def _term_layout(trace: MulTrace) -> tuple[Sequence[int], Sequence[int], list[tuple[tuple[str, int], ...]]]:
+    """The two sequences the term indices of ``trace`` point into, and each column's ``(kind, diagonal)`` parts.
 
-    Cross terms index the segments, longer operand first; wedge terms index
-    the multiplicand padded with one zero on each end.
+    Cross terms index the segments, longer operand first, and wedge terms the
+    multiplicand padded with one zero on each end.  Columns run most significant
+    first.  Cross and wedge column ``k`` is diagonal ``k``.  Plum column ``k``
+    holds the residues of diagonal ``k`` and the carries of diagonal ``k + 1``,
+    but the leading product stays whole, and the trailing product, alone on the
+    last diagonal, puts its tens in the second-to-last column and its ones in the last.
     """
-    if trace.a.is_zero or trace.b.is_zero:
-        return (), ()  # no terms, and a zero product's segment length is never checked
-    if trace.method == "cross":
-        return _cross_operands(trace.a, trace.b, trace.radix_power)
-    if trace.method in ("wedge", "wedge_single"):
-        return (0,) + trace.a.digits + (0,), trace.b.digits
-    return trace.a.digits, trace.b.digits
-
-
-def _column_layout(trace: MulTrace) -> list[tuple[tuple[str, int], ...]]:
-    """The ``(kind, diagonal)`` parts of each column of ``trace``, most significant first.
-
-    Cross and wedge column ``k`` is diagonal ``k``.  Plum column ``k`` holds the
-    residues of diagonal ``k`` and the carries of diagonal ``k + 1``, but the
-    leading product stays whole, and the trailing product, alone on the last
-    diagonal, puts its tens in the second-to-last column and its ones in the last.
-    """
-    if trace.a.is_zero or trace.b.is_zero:
-        return [()]
+    a, b = trace.a, trace.b
+    if a.is_zero or b.is_zero:
+        return (), (), [()]  # one column of no terms, and a zero product's segment length is never checked
     count = len(trace.signed.columns)
+    if trace.method == "cross":
+        return *_cross_operands(a, b, trace.radix_power), [(("product", k),) for k in range(count)]
     if trace.method != "plum":
-        kind = "product" if trace.method == "cross" else "wedge"
-        return [((kind, k),) for k in range(count)]
+        return (0,) + a.digits + (0,), b.digits, [(("wedge", k),) for k in range(count)]
     last = count - 1
     if not last:
-        return [(("product", 0),)]
+        return a.digits, b.digits, [(("product", 0),)]
     layout = [(("residue" if k else "product", k), ("carry", k + 1)) for k in range(last)]
     layout[-1] = (layout[-1][0], ("product_tens", last))
-    return layout + [(("product_ones", last),)]
+    return a.digits, b.digits, layout + [(("product_ones", last),)]
 
 
-def _diagonal(k: int, m: int, n: int, first: int = 0) -> range:
-    """Row indices ``i >= first`` of the cells ``(i, k - i)`` of an ``m`` by ``n`` grid."""
-    return range(max(first, k - n + 1), min(m - 1, k) + 1)
-
-
-# Values of the digit-pair kinds: ``x*y`` split into residue and carry, or into tens and
-# ones; a wedge value is ``[a][b][c]``, of the window ``(a, b)`` against ``c``.
+# Values of the digit-pair kinds, ``table[x][y]``: ``x*y`` whole, split into residue and
+# carry, or into tens and ones; a wedge value is ``[a][b][c]``, of the window ``(a, b)`` against ``c``.
 _PAIR_TABLES = {
+    "product": tuple(tuple(x * y for y in range(10)) for x in range(10)),
     "residue": _CLUB10,
     "carry": _CARRY10,
     "product_tens": tuple(tuple(x * y // 10 for y in range(10)) for x in range(10)),
@@ -332,21 +321,38 @@ _PAIR_TABLES = {
 }
 
 
-def _diagonal_terms(kind: str, xs: Sequence[int], ys: Sequence[int], k: int, first: int = 0) -> list[Term]:
-    """Terms of ``kind`` for the pairs ``(xs[i], ys[k - i])``, ``i >= first``.
+def _diagonal_cells(
+    kind: str, xs: Sequence[int], ys_reversed: Sequence[int], k: int, tables: dict | None, first: int = 0
+) -> tuple[range, Iterable]:
+    """Rows ``i >= first`` of diagonal ``k`` of ``xs`` against ``ys``, and the cell of each row, in order.
 
-    A wedge term pairs the window ``(xs[i], xs[i+1])`` with ``ys[k - i]``, so
-    its rows are the ``len(xs) - 1`` windows of ``xs``.  Products may pair
-    segments; every other kind pairs digits.
+    A cell is ``tables[kind][xs[i]][ys[k - i]]``, or without ``tables`` the pair
+    ``(xs[i], ys[k - i])``.  A wedge cell is ``tables["wedge"][xs[i]][xs[i+1]][ys[k - i]]``,
+    so its rows are the ``len(xs) - 1`` windows of ``xs``.  ``ys`` comes reversed,
+    so that the partners of a diagonal's rows are one slice.
     """
     wedge = kind == "wedge"
-    rows = _diagonal(k, len(xs) - wedge, len(ys), first)
-    if kind == "product":
-        return [Term(kind, i, k - i, xs[i] * ys[k - i]) for i in rows]
-    table = _PAIR_TABLES[kind]
+    start = len(ys_reversed) - 1 - k
+    rows = range(max(first, -start), min(len(xs) - wedge - 1, k) + 1)
+    lefts, rights = xs[rows.start : rows.stop], ys_reversed[start + rows.start : start + rows.stop]
+    if tables is None:
+        return rows, zip(lefts, rights)
+    cells = map(tables[kind].__getitem__, lefts)
     if wedge:
-        return [Term(kind, i, k - i, table[xs[i]][xs[i + 1]][ys[k - i]]) for i in rows]
-    return [Term(kind, i, k - i, table[xs[i]][ys[k - i]]) for i in rows]
+        cells = map(getitem, cells, xs[rows.start + 1 : rows.stop + 1])
+    return rows, map(getitem, cells, rights)
+
+
+def _diagonal_terms(kind: str, xs: Sequence[int], ys_reversed: Sequence[int], k: int, first: int = 0) -> list[Term]:
+    """Terms of ``kind`` on the cells of ``_diagonal_cells``, valued from ``_PAIR_TABLES``.
+
+    Products are multiplied out instead, since they may pair segments.
+    """
+    if kind == "product":
+        rows, pairs = _diagonal_cells(kind, xs, ys_reversed, k, None, first)
+        return [Term(kind, i, k - i, x * y) for i, (x, y) in zip(rows, pairs)]
+    rows, values = _diagonal_cells(kind, xs, ys_reversed, k, _PAIR_TABLES, first)
+    return [Term(kind, i, k - i, value) for i, value in zip(rows, values)]
 
 
 # ---------------------------------------------------------------------------

@@ -106,9 +106,9 @@ def _decimal_digits(value: int, count: int = 1) -> bytes:
 
 
 def _has_stray_digit(values: Sequence[int]) -> bool:
-    """Whether ``values`` holds anything other than the integers 0..9."""
+    """Whether ``values`` holds anything but the integers 0..9, or is an int, which ``bytes`` would read as zeros."""
     try:
-        return bool(bytes(values).translate(None, _DIGIT_VALUES))
+        return isinstance(values, int) or bool(bytes(values).translate(None, _DIGIT_VALUES))
     except (TypeError, ValueError):  # a non-integer, or an integer outside 0..255
         return True
 
@@ -160,6 +160,7 @@ class SignedDigitString:
     columns: tuple[int, ...]
 
     def value(self) -> int:
+        """The columns read in radix 10; columns in another radix, as on a segment trace, give another number."""
         return _horner(self.columns, 10)
 
     def __len__(self) -> int:

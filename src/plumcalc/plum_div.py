@@ -33,7 +33,7 @@ of the ``PP_n`` (:meth:`DivisionTrace.pp_reconstruction`) and keeps ``W`` in
 the trace, which builds its ``steps`` from ``W``, and each step its terms, when
 first read.  The terms are ``(kind, i, j, value)`` of divisor digits ``b[i]``
 against quotient digits ``c[j]`` (0-indexed here) along one diagonal ``i + j``,
-from ``cross_mul._diagonal_terms``:
+from ``cross_mul._diagonal_terms``, the builder of the multiplication terms too:
 
 * plum ``pp0``: residues on ``i + j == n-1`` with ``i >= 1``, and carries on
   ``i + j == n`` with ``i >= 2``;
@@ -147,21 +147,21 @@ def _check_step(c_so_far: Sequence[int], n: int) -> None:
     if n < 1:
         raise ValueError(f"step index must be positive, got {n}")
     if _has_stray_digit(c_so_far):
-        raise ValueError(f"quotient digits must lie in 0..9, got {tuple(c_so_far)}")
+        raise ValueError(f"quotient digits must lie in 0..9, got {c_so_far!r}")
 
 
 def pp0_plum(b: DigitString, c_so_far: Sequence[int], n: int) -> tuple[int, tuple[Term, ...]]:
     """Plum form of the step-``n`` partial product over the quotient digits before ``c[n]``."""
     _check_step(c_so_far, n)
-    terms = _diagonal_terms("residue", b.digits, c_so_far, n - 1, first=1)
-    terms += _diagonal_terms("carry", b.digits, c_so_far, n, first=2)
+    terms = _diagonal_terms("residue", b.digits, c_so_far[::-1], n - 1, first=1)
+    terms += _diagonal_terms("carry", b.digits, c_so_far[::-1], n, first=2)
     return sum(term.value for term in terms), tuple(terms)
 
 
 def pp0_wedge(b: DigitString, c_so_far: Sequence[int], n: int) -> tuple[int, tuple[Term, ...]]:
     """Wedge form of the same partial product: equal value, pairwise terms."""
     _check_step(c_so_far, n)
-    terms = _diagonal_terms("wedge", b.digits + (0,), c_so_far, n - 1, first=1)
+    terms = _diagonal_terms("wedge", b.digits + (0,), c_so_far[::-1], n - 1, first=1)
     return sum(term.value for term in terms), tuple(terms)
 
 

@@ -16,11 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain
-from operator import getitem
-from typing import Iterable
 
-from .cross_mul import MulTrace, _column_layout, _diagonal, _term_operands
-from .digit_core import _CARRY10, _CLUB10, _WEDGE10
+from .cross_mul import _PAIR_TABLES, MulTrace, _diagonal_cells, _term_layout
 from .digit_string import _decimal_text
 from .plum_div import DivisionTrace
 
@@ -43,59 +40,51 @@ def _symbols(ascii_only: bool) -> tuple[str, str, str]:
     return "♣", "⋈", "×"
 
 
+# One text format per term kind, filled with the pair's operands and its ``value``.
+_FORMATS = {
+    "product": "{0}{times}{1}={value}",
+    "residue": "{0}{club}{1}={value}",
+    "carry": "J({0}{club}{1})={value}",
+    "product_tens": "tens({0}{times}{1})={value}",
+    "product_ones": "ones({0}{times}{1})={value}",
+    "wedge": "{0}{1}{bowtie}{2}={value}",
+}
+
+
 @cache
 def _pair_texts(ascii_only: bool) -> dict[str, tuple]:
     """Text of every digit pair of each term kind, ``texts[kind][x][y]``; wedge is ``[a][b][c]``.
 
-    Built on first use, once per symbol set, and shared by every later render.
+    Each text formats an entry of ``cross_mul._PAIR_TABLES``.  Built on first
+    use, once per symbol set, and shared by every later render.
     """
     club, bowtie, times = _symbols(ascii_only)
 
-    def table(text) -> tuple[tuple[str, ...], ...]:
-        return tuple(tuple(text(x, y) for y in range(10)) for x in range(10))
+    def texts(form: str, table: tuple | int, *operands: int) -> tuple | str:
+        if isinstance(table, int):
+            return form.format(*operands, value=table, club=club, bowtie=bowtie, times=times)
+        return tuple(texts(form, row, *operands, x) for x, row in enumerate(table))
 
-    return {
-        "product": table(lambda x, y: f"{x}{times}{y}={x * y}"),
-        "residue": table(lambda x, y: f"{x}{club}{y}={_CLUB10[x][y]}"),
-        "carry": table(lambda x, y: f"J({x}{club}{y})={_CARRY10[x][y]}"),
-        "product_tens": table(lambda x, y: f"tens({x}{times}{y})={x * y // 10}"),
-        "product_ones": table(lambda x, y: f"ones({x}{times}{y})={x * y % 10}"),
-        "wedge": tuple(table(lambda b, c: f"{a}{b}{bowtie}{c}={_WEDGE10[a][b][c]}") for a in range(10)),
-    }
-
-
-def _diagonal_text(kind: str, xs: tuple, ys_reversed: tuple, k: int, texts: dict | None, times: str) -> Iterable[str]:
-    """Text of the terms ``_diagonal_terms(kind, xs, ys_reversed[::-1], k)`` would build, in order.
-
-    Without ``texts`` the pairs are segments, whose values may be past the int/str limit.
-    """
-    wedge = kind == "wedge"
-    rows = _diagonal(k, len(xs) - wedge, len(ys_reversed))
-    start = len(ys_reversed) - 1 - k
-    lefts, rights = xs[rows.start : rows.stop], ys_reversed[start + rows.start : start + rows.stop]
-    if texts is None:
-        return (f"{_decimal_text(x)}{times}{_decimal_text(y)}={_decimal_text(x * y)}" for x, y in zip(lefts, rights))
-    cells = map(texts[kind].__getitem__, lefts)
-    if wedge:
-        cells = map(getitem, cells, xs[rows.start + 1 : rows.stop + 1])
-    return map(getitem, cells, rights)
+    return {kind: texts(form, _PAIR_TABLES[kind]) for kind, form in _FORMATS.items()}
 
 
 def render_mul(trace: MulTrace, ascii_only: bool = False) -> RenderedTrace:
     """One line per column (its terms, from the operands, and its signed total), then the columns and the product."""
-    symbols = _symbols(ascii_only)
-    xs, ys = _term_operands(trace)
+    times = _symbols(ascii_only)[2]
+    xs, ys, layout = _term_layout(trace)
     ys_reversed = ys[::-1]
     texts = _pair_texts(ascii_only) if trace.radix_power == 1 else None
-    header = f"{trace.a} {symbols[2]} {trace.b}  [{trace.method}]"
+    header = f"{trace.a} {times} {trace.b}  [{trace.method}]"
     if trace.radix_power > 1:
         header += f" (segments of {trace.radix_power})"
     lines = [header]
-    for k, (parts, total) in enumerate(zip(_column_layout(trace), trace.signed.columns)):
-        body = ", ".join(
-            chain.from_iterable(_diagonal_text(kind, xs, ys_reversed, d, texts, symbols[2]) for kind, d in parts)
-        )
-        lines.append(f"  col {k}: {body or '0'} = {_decimal_text(total)}")
+    for k, (parts, total) in enumerate(zip(layout, trace.signed.columns)):
+        cells = chain.from_iterable(_diagonal_cells(kind, xs, ys_reversed, d, texts)[1] for kind, d in parts)
+        if texts is None:  # segment pairs, which no table holds and whose values may be past the int/str limit
+            form = _FORMATS["product"]
+            cells = (form.format(_decimal_text(x), _decimal_text(y), value=_decimal_text(x * y), times=times)
+                     for x, y in cells)
+        lines.append(f"  col {k}: {', '.join(cells) or '0'} = {_decimal_text(total)}")
     lines.append(f"  columns: {trace.signed}")
     lines.append(f"  product: {trace.product}")
     return RenderedTrace(trace.method, (str(trace.a), str(trace.b)), tuple(lines))
@@ -108,6 +97,7 @@ def render_div(trace: DivisionTrace, ascii_only: bool = False) -> RenderedTrace:
     value after subtracting it, then the pp1 subtrahend and the new partial
     remainder.  The first displayed step starts directly under the dividend,
     so its bring-down row is omitted, as is its (always zero) pp0 row.
+    ``ascii_only`` changes nothing: the tableau holds no symbol.
     """
     operands = (str(trace.dividend), str(trace.divisor))
     prefix = f"{trace.divisor} ) "
@@ -118,20 +108,16 @@ def render_div(trace: DivisionTrace, ascii_only: bool = False) -> RenderedTrace:
         return text.rjust(margin + step_index + 1)  # ends under dividend digit step_index (0-based)
 
     lines: list[str] = []
-    first_nonzero = next(
-        (s.index for s in trace.steps if s.quotient_digit not in (None, 0)), None
-    )
-    if trace.quotient.is_zero or first_nonzero is None:
+    if trace.quotient.is_zero:
         lines.append(at("0", len(trace.dividend) - 1))
         lines.append(f"{prefix}{trace.dividend}")
         lines.append(at(str(trace.remainder), len(trace.dividend) - 1))
         return RenderedTrace(trace.method, operands, tuple(lines))
 
-    quotient_row = [" "] * (margin + len(trace.dividend))
-    for step in trace.steps:
-        if step.quotient_digit is not None and step.index >= first_nonzero:
-            quotient_row[margin + step.index - 1] = str(step.quotient_digit)
-    lines.append("".join(quotient_row).rstrip())
+    # the quotient ends under its last step; the step of a leading zero quotient digit is not shown
+    last = len(trace.quotient_digits)
+    first_nonzero = last - len(trace.quotient) + 1
+    lines.append(at(str(trace.quotient), last - 1))
     lines.append(f"{prefix}{trace.dividend}")
 
     for step in trace.steps:

@@ -68,6 +68,16 @@ def test_pp0_rejects_bad_step():
                 pp0(ds(369), c, 3)
 
 
+def test_a_bare_int_is_rejected_as_digits():
+    # ``bytes(n)`` is n zero bytes, so an int passed the digit check and failed later on ``len``
+    with pytest.raises(ValueError, match=r"^digits must lie in 0\.\.9: 5$"):
+        DigitString(5)
+    with pytest.raises(ValueError, match=r"^quotient digits must lie in 0\.\.9, got 5$"):
+        pp0_plum(parse("369"), 5, 1)
+    with pytest.raises(ValueError, match=r"^quotient digits must lie in 0\.\.9, got 3$"):
+        pp0_wedge(parse("369"), 3, 2)
+
+
 def test_pp1_worked_values():
     assert pp1(ds(369), 5)[0] == 18
     assert pp1(ds(369), 1)[0] == 4

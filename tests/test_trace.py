@@ -16,7 +16,7 @@ from plumcalc.cross_mul import (
     MUL_METHODS,
     MulTrace,
     Term,
-    _term_operands,
+    _term_layout,
     plum_mul,
     rapid_mul,
     wedge_mul,
@@ -113,7 +113,7 @@ def _reference_term_text(term: Term, xs: tuple[int, ...], ys: tuple[int, ...], s
 def render_mul_reference(trace: MulTrace, ascii_only: bool = False) -> list[str]:
     """Lines of ``render_mul`` built term by term from ``trace.columns``, the way it once was."""
     symbols = _symbols(ascii_only)
-    xs, ys = _term_operands(trace)
+    xs, ys, _ = _term_layout(trace)
     header = f"{trace.a} {symbols[2]} {trace.b}  [{trace.method}]"
     if trace.radix_power > 1:
         header += f" (segments of {trace.radix_power})"
@@ -164,15 +164,23 @@ def test_render_mul_long_operands_equal_the_reference():
 LADDER_RENDERINGS_SHA256 = "3f5f9b88ed6b61631fac7f1af44d2898371d34e42c6ed269e1a7466afb427a49"
 
 
-def test_renderings_over_the_short_cli_ladder_are_pinned():
+def _short_cli_ladder() -> list[tuple[DigitString, DigitString]]:
+    """Three operand pairs on each rung of the cli-short ladder, 4-24 by 2-12 digits."""
     rng = random.Random(7)
-    texts = []
+    pairs = []
     for a_len, b_len in zip(range(4, 25, 2), range(2, 13)):
         for _ in range(3):
             a, b = (parse(str(rng.randint(1, 9)) + "".join(rng.choices("0123456789", k=n - 1))) for n in (a_len, b_len))
-            for ascii_only in (False, True):
-                texts += [str(render_mul(trace, ascii_only)) for trace in _traces(a, b, segments=(2,))]
-                texts += [str(render_div(plum_div.divmod(a, b, m)[2], ascii_only)) for m in plum_div.DIV_METHODS]
+            pairs.append((a, b))
+    return pairs
+
+
+def test_renderings_over_the_short_cli_ladder_are_pinned():
+    texts = []
+    for a, b in _short_cli_ladder():
+        for ascii_only in (False, True):
+            texts += [str(render_mul(trace, ascii_only)) for trace in _traces(a, b, segments=(2,))]
+            texts += [str(render_div(plum_div.divmod(a, b, m)[2], ascii_only)) for m in plum_div.DIV_METHODS]
     assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == LADDER_RENDERINGS_SHA256
 
 
@@ -189,6 +197,25 @@ def test_render_mul_builds_no_terms(monkeypatch):
         assert "columns" not in trace.__dict__, trace.method
     with pytest.raises(AssertionError, match="must not build terms"):
         traces[0].columns  # the patch is live: reading the terms builds them
+
+
+def test_render_div_builds_no_terms(monkeypatch):
+    def unavailable(*args, **kwargs):
+        raise AssertionError("render_div must not build terms")
+
+    for name in ("pp0_plum", "pp0_wedge", "pp1", "_diagonal_terms"):
+        monkeypatch.setattr(plum_div, name, unavailable)
+    monkeypatch.setattr(cross_mul, "_diagonal_terms", unavailable)
+    # a zero quotient, a quotient with a leading zero, and a one-digit divisor
+    pairs = _short_cli_ladder() + [(ds(5), ds(369)), (ds(2728018), ds(3456)), (ds(987654321), ds(7))]
+    traces = [plum_div.divmod(a, b, method)[2] for a, b in pairs for method in plum_div.DIV_METHODS]
+    for trace in traces:
+        render_div(trace)
+        render_div(trace, ascii_only=True)
+        for step in trace.steps:
+            assert "pp0_terms" not in step.__dict__ and "pp1_terms" not in step.__dict__, (trace.method, step.index)
+    with pytest.raises(AssertionError, match="must not build terms"):
+        traces[0].steps[0].pp1_terms  # the patch is live: reading the terms builds them
 
 
 def _value_rows(rendered) -> list[int]:
