@@ -40,7 +40,8 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import getitem
+from itertools import repeat, starmap
+from operator import getitem, mul
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .digit_core import _CARRY10, _CLUB10, _WEDGE10, carry, clubsuit
@@ -346,13 +347,15 @@ def _diagonal_cells(
 def _diagonal_terms(kind: str, xs: Sequence[int], ys_reversed: Sequence[int], k: int, first: int = 0) -> list[Term]:
     """Terms of ``kind`` on the cells of ``_diagonal_cells``, valued from ``_PAIR_TABLES``.
 
-    Products are multiplied out instead, since they may pair segments.
+    Products are multiplied out instead, since they may pair segments.  Each
+    ``Term`` is made by ``tuple.__new__``, skipping the namedtuple's Python-level
+    ``__new__``, which costs more than the values themselves.
     """
-    if kind == "product":
-        rows, pairs = _diagonal_cells(kind, xs, ys_reversed, k, None, first)
-        return [Term(kind, i, k - i, x * y) for i, (x, y) in zip(rows, pairs)]
-    rows, values = _diagonal_cells(kind, xs, ys_reversed, k, _PAIR_TABLES, first)
-    return [Term(kind, i, k - i, value) for i, value in zip(rows, values)]
+    product = kind == "product"
+    rows, cells = _diagonal_cells(kind, xs, ys_reversed, k, None if product else _PAIR_TABLES, first)
+    values = starmap(mul, cells) if product else cells
+    columns = range(k - rows.start, k - rows.stop, -1)
+    return list(map(tuple.__new__, repeat(Term), zip(repeat(kind), rows, columns, values)))
 
 
 # ---------------------------------------------------------------------------

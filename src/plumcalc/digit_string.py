@@ -131,7 +131,7 @@ class DigitString:
     def from_int(cls, value: int) -> DigitString:
         if value < 0:
             raise ValueError(f"digit strings represent non-negative integers, got {value}")
-        return cls(tuple(_decimal_digits(value)))
+        return _valid_by_construction(tuple(_decimal_digits(value)))
 
     def __int__(self) -> int:
         return _text_value(bytes(self.digits).translate(_NUMERAL_BYTES))
@@ -151,6 +151,15 @@ class DigitString:
     @property
     def is_zero(self) -> bool:
         return self.digits == (0,)
+
+
+def _valid_by_construction(digits: tuple[int, ...]) -> DigitString:
+    """A :class:`DigitString` of ``digits`` that are valid as built, without ``__post_init__``'s check."""
+    ds = object.__new__(DigitString)
+    # as a frozen dataclass's __init__ stores it; writing to ds.__dict__ would
+    # make each instance larger and slower to read
+    object.__setattr__(ds, "digits", digits)
+    return ds
 
 
 @dataclass(frozen=True)
@@ -203,7 +212,7 @@ def parse(text: str) -> DigitString:
         raise ValueError(f"empty numeral: {text!r}")
     if not cleaned.isascii() or not cleaned.isdigit():
         raise ValueError(f"not a non-negative decimal numeral: {text!r}")
-    return DigitString(tuple((cleaned.lstrip("0") or "0").encode("ascii").translate(_DIGIT_BYTES)))
+    return _valid_by_construction(tuple((cleaned.lstrip("0") or "0").encode("ascii").translate(_DIGIT_BYTES)))
 
 
 def segment(ds: DigitString, length: int) -> SegmentString:
@@ -245,7 +254,7 @@ def normalize_stats(s: SignedDigitString, radix_power: int = 1) -> tuple[DigitSt
         digits = b"".join(_decimal_digits(limb, radix_power) for limb in limbs)
     if carry:
         digits = _decimal_digits(carry) + digits
-    return DigitString(tuple(digits.lstrip(b"\0") or b"\0")), carries
+    return _valid_by_construction(tuple(digits.lstrip(b"\0") or b"\0")), carries
 
 
 def normalize(s: SignedDigitString, radix_power: int = 1) -> DigitString:

@@ -8,6 +8,13 @@ four-digit values, then seeded random pairs up to 64 digits.  The default box
 keeps an exhaustive all-pairs run affordable; the bound can be raised via the
 ``limit`` arguments (``plumcalc verify --limit``; the acceptance suite reads it
 from the ``PLUMCALC_EXHAUSTIVE_LIMIT`` environment variable).
+
+A case hands its check the oracle's result, or ``None`` for the check to call
+``o_mul`` or ``o_divmod``, as box and random cases do.  The one-sided sweeps
+step each result from the last with the oracle's own ``o_add`` (a remainder
+rolls over into the quotient when ``o_cmp`` finds it equal to the divisor), and
+compute every ``_CHECKPOINT``-th afresh: a stepped result that differs from it
+is a violation naming its operands, so a wrong step cannot drift unreported.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from typing import Callable, Iterator
 from .cross_mul import MUL_METHODS, wedge_mul_single
 from .digit_core import LawReport, _sweep
 from .digit_string import DigitString
-from .oracle import Nat, o_divmod, o_mul
+from .oracle import Nat, o_add, o_cmp, o_divmod, o_mul
 from . import plum_div
 
 __all__ = [
@@ -36,11 +43,14 @@ DEFAULT_EXHAUSTIVE_LIMIT = 256
 ONE_SIDED_MULTIPLIERS = (1, 7, 99, 9999)
 ONE_SIDED_DIVISORS = (1, 7, 99, 369, 3456)
 RANDOM_MAX_DIGITS = 64  # longest random factor or dividend; random divisors get half
+_CHECKPOINT = 1000  # every this-many-th one-sided expectation is computed afresh, not stepped
 
-# One operand: its digit string, the oracle's number and its ``int``, each built once.
-_Operand = tuple[DigitString, Nat, int]
-# One sweep case: a check, then the two operands it is run on.
-_Case = tuple[Callable[..., int], _Operand, "_Operand | int"]
+# One operand: its digit string, the oracle's number (None for a stepped one-sided
+# value) and its ``int``, each built once.
+_Operand = tuple[DigitString, "Nat | None", int]
+# One sweep case: a check and its two arguments, such as two operands and the oracle's result.
+_Case = tuple[Callable[..., int], object, object]
+_ONE = Nat((1,))
 
 
 def _seeded_rng(seed: int, *labels: int | str) -> random.Random:
@@ -70,13 +80,49 @@ def _random_operand(rng: random.Random, max_digits: int) -> _Operand:
     return a, Nat.from_digits(a.digits), int(a)
 
 
-def _one_sided(check: Callable[..., int], others: tuple[int, ...]) -> Iterator[_Case]:
-    """Every value below 10**4 against each of ``others``, built as it is needed."""
+def _one_sided(
+    check: Callable[..., int], others: tuple[int, ...], fresh: Callable, step: Callable
+) -> Iterator[_Case]:
+    """Every value below 10**4 against each of ``others``, with the oracle's result for each.
+
+    A value's result is ``step(last, b)`` from the value before it, except at
+    every ``_CHECKPOINT``-th value, which takes ``fresh(a, b)`` and reports a
+    stepped result that differs from it.  Only a checkpoint builds its ``Nat``.
+    """
     fixed = [_operand(v) for v in others]
+    expected: list = [None] * len(fixed)
     for av in range(10_000):
-        a = _operand(av)
-        for b in fixed:
-            yield check, a, b
+        a = DigitString.from_int(av), None, av
+        a_nat = None if av % _CHECKPOINT else Nat.from_int(av)
+        for i, b in enumerate(fixed):
+            stepped = step(expected[i], b[1]) if av else None
+            if a_nat is None:
+                expected[i] = stepped
+            else:
+                expected[i] = fresh(a_nat, b[1])
+                if av:
+                    yield _checkpoint_check, (av, b[2]), (expected[i], stepped)
+            yield check, (a, b), expected[i]
+
+
+def _checkpoint_check(violations: list, inputs: tuple[int, int], pair: tuple) -> int:
+    """A stepped result against the oracle's fresh one; it counts nothing, as its case counts.
+
+    Of a quotient and remainder, the first that differs is recorded, as in ``_div_check``.
+    """
+    fresh, stepped = pair
+    if fresh != stepped:
+        if isinstance(fresh, tuple):
+            fresh, stepped = next((f, s) for f, s in zip(fresh, stepped) if f != s)
+        violations.append((inputs, fresh.to_int(), stepped.to_int()))
+    return 0
+
+
+def _next_divmod(last: tuple[Nat, Nat], b: Nat) -> tuple[Nat, Nat]:
+    """``o_divmod(a + 1, b)`` from ``last = o_divmod(a, b)``: the remainder gains one, or rolls over."""
+    q, r = last
+    r = o_add(r, _ONE)
+    return (o_add(q, _ONE), Nat(())) if o_cmp(r, b) == 0 else (q, r)
 
 
 def verify_mul_equivalence(
@@ -89,13 +135,14 @@ def verify_mul_equivalence(
     Covers every pair below ``limit`` exhaustively (all methods, plus the
     single-digit streaming method against every digit multiplier), every value
     below 10**4 against a fixed multiplier set, and ``random_pairs`` seeded
-    random pairs of up to ``RANDOM_MAX_DIGITS`` digits.
+    random pairs of up to ``RANDOM_MAX_DIGITS`` digits.  One-sided products are
+    stepped by ``o_add``, with ``o_mul`` only at checkpoints.
     """
     return [
         _sweep("mul-equiv-exhaustive", _mul_box(limit), f"all pairs below {limit}"),
         _sweep(
             "mul-equiv-one-sided",
-            _one_sided(_mul_check, ONE_SIDED_MULTIPLIERS),
+            _one_sided(_mul_check, ONE_SIDED_MULTIPLIERS, o_mul, o_add),
             f"all values below 10^4 times {ONE_SIDED_MULTIPLIERS}",
         ),
         _sweep(
@@ -106,9 +153,10 @@ def verify_mul_equivalence(
     ]
 
 
-def _mul_check(violations: list, x: _Operand, y: _Operand) -> int:
-    (a, a_nat, a_int), (b, b_nat, b_int) = x, y
-    expected = o_mul(a_nat, b_nat)
+def _mul_check(violations: list, operands: tuple[_Operand, _Operand], expected: Nat | None) -> int:
+    (a, a_nat, a_int), (b, b_nat, b_int) = operands
+    if expected is None:
+        expected = o_mul(a_nat, b_nat)
     expected_digits, expected_int = expected.to_digits(), expected.to_int()
     for method in MUL_METHODS.values():
         product, trace = method(a, b)
@@ -130,7 +178,7 @@ def _mul_box(limit: int) -> Iterator[_Case]:
     values = [_operand(v) for v in range(limit)]
     for a in values:
         for b in values:
-            yield _mul_check, a, b
+            yield _mul_check, (a, b), None
         for c in range(10):
             yield _mul_single_check, a, c
 
@@ -140,7 +188,7 @@ def _mul_random(random_pairs: int, seed: int) -> Iterator[_Case]:
         rng = _seeded_rng(seed, "mul", trial)
         a = _random_operand(rng, RANDOM_MAX_DIGITS)
         b = _random_operand(rng, RANDOM_MAX_DIGITS)
-        yield _mul_check, a, b
+        yield _mul_check, (a, b), None
         yield _mul_single_check, a, rng.randint(0, 9)
 
 
@@ -153,12 +201,13 @@ def verify_div_equivalence(
 
     Same coverage plan as the multiplication checks.  Plum and wedge division
     are one computation, so each case runs ``divmod`` once and counts one.
+    One-sided results are stepped by ``o_add``, with ``o_divmod`` only at checkpoints.
     """
     return [
         _sweep("div-equiv-exhaustive", _div_box(limit), f"all pairs below {limit}"),
         _sweep(
             "div-equiv-one-sided",
-            _one_sided(_div_check, ONE_SIDED_DIVISORS),
+            _one_sided(_div_check, ONE_SIDED_DIVISORS, o_divmod, _next_divmod),
             f"all dividends below 10^4 over divisors {ONE_SIDED_DIVISORS}",
         ),
         _sweep(
@@ -169,9 +218,9 @@ def verify_div_equivalence(
     ]
 
 
-def _div_check(violations: list, x: _Operand, y: _Operand) -> int:
-    (a, a_nat, a_int), (b, b_nat, b_int) = x, y
-    expected_q, expected_r = o_divmod(a_nat, b_nat)
+def _div_check(violations: list, operands: tuple[_Operand, _Operand], expected: tuple[Nat, Nat] | None) -> int:
+    (a, a_nat, a_int), (b, b_nat, b_int) = operands
+    expected_q, expected_r = o_divmod(a_nat, b_nat) if expected is None else expected
     q, r, trace = plum_div.divmod(a, b)
     if q.digits != expected_q.to_digits():
         violations.append(((a_int, b_int), expected_q.to_int(), int(q)))
@@ -186,7 +235,7 @@ def _div_box(limit: int) -> Iterator[_Case]:
     values = [_operand(v) for v in range(limit)]
     for a in values:
         for b in values[1:]:
-            yield _div_check, a, b
+            yield _div_check, (a, b), None
 
 
 def _div_random(random_pairs: int, seed: int) -> Iterator[_Case]:
@@ -194,4 +243,4 @@ def _div_random(random_pairs: int, seed: int) -> Iterator[_Case]:
         rng = _seeded_rng(seed, "div", trial)
         a = _random_operand(rng, RANDOM_MAX_DIGITS)
         b = _random_operand(rng, RANDOM_MAX_DIGITS // 2)
-        yield _div_check, a, b
+        yield _div_check, (a, b), None

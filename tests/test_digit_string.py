@@ -40,13 +40,31 @@ def test_parse_rejects_bad_input(bad):
 
 
 def test_digit_string_invariants():
-    with pytest.raises(ValueError):
+    # the public constructor keeps its check, though the library's own results skip it
+    with pytest.raises(ValueError, match=r"^digit string must not be empty$"):
         DigitString(())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^leading zero in digit string: \(0, 1\)$"):
         DigitString((0, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^digits must lie in 0\.\.9: \(1, 10\)$"):
         DigitString((1, 10))
     assert DigitString((0,)).is_zero
+
+
+@settings(max_examples=200)
+@given(
+    numerals(700),
+    st.text("0123456789 _", min_size=1, max_size=40).filter(lambda t: any(c.isdigit() for c in t)),
+    st.integers(min_value=1, max_value=3),
+    st.lists(st.integers(min_value=-(10**5), max_value=10**5), max_size=24),
+)
+def test_results_built_unchecked_pass_the_public_check(value, text, radix_power, columns):
+    # from_int, parse and normalize_stats build their results without DigitString's check
+    results = [DigitString.from_int(value), parse(text)]
+    s = SignedDigitString((10**5, *columns))  # the leading column keeps the value non-negative
+    results.append(normalize_stats(s, radix_power)[0])
+    for result in results:
+        assert type(result) is DigitString
+        assert DigitString(result.digits) == result
 
 
 @pytest.mark.parametrize("digits", [(1.5,), (-1,), (10,), (256,), (3, 1.0), (7, -300)])

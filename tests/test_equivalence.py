@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import collections
 import dataclasses
+
+import pytest
 
 from plumcalc import equivalence, plum_div
 from plumcalc.cross_mul import MUL_METHODS, plum_mul, wedge_mul_single
 from plumcalc.digit_string import DigitString
+from plumcalc.oracle import Nat
 
 
 def test_broken_mul_method_fails_every_mul_sweep(monkeypatch):
@@ -93,3 +97,64 @@ def test_wrong_kernel_column_is_recorded_as_reconstructions(monkeypatch):
     violations = sweep_with_divmod(monkeypatch, last_column_off_by_one)
     for (x, y), expected, actual in violations:
         assert (expected, actual) == (y * (x // y), y * (x // y) + 1)
+
+
+def one_sided_reports(monkeypatch):
+    """The one-sided reports of both sweeps, over one multiplier and one divisor, 7."""
+    monkeypatch.setattr(equivalence, "ONE_SIDED_MULTIPLIERS", (7,))
+    monkeypatch.setattr(equivalence, "ONE_SIDED_DIVISORS", (7,))
+    mul = equivalence.verify_mul_equivalence(limit=2, random_pairs=1, seed=7)
+    div = equivalence.verify_div_equivalence(limit=2, random_pairs=1, seed=7)
+    assert [mul[1].law, div[1].law] == ["mul-equiv-one-sided", "div-equiv-one-sided"]
+    return mul[1], div[1]
+
+
+def test_a_wrong_step_is_reported_by_both_one_sided_sweeps(monkeypatch):
+    o_add = equivalence.o_add
+    monkeypatch.setattr(equivalence, "o_add", lambda x, y: o_add(o_add(x, y), Nat((1,))))
+    mul, div = one_sided_reports(monkeypatch)
+    assert [mul.domain_size, div.domain_size] == [30_000, 10_000]
+    checkpoint = equivalence._CHECKPOINT
+    for report, methods, true_values in (
+        (mul, len(MUL_METHODS), lambda a: (7 * a,)),
+        (div, 1, lambda a: (a // 7, a % 7)),
+    ):
+        # every value after the first is stepped wrong: named once by each method, or once by its checkpoint
+        named = [(a, 7) for a in range(1, 10_000) for _ in range(methods if a % checkpoint else 1)]
+        assert [inputs for inputs, _, _ in report.violations] == named
+        for (a, _), expected, actual in report.violations:
+            if a % checkpoint:
+                # the method's result is right, so the stepped expectation is wrong
+                assert actual in true_values(a)
+            else:
+                # the oracle's fresh product or quotient against the stepped one
+                assert expected == true_values(a)[0] != actual
+
+
+@pytest.mark.parametrize("checkpoint", [None, 2500, 1])
+def test_one_sided_sweeps_call_the_oracle_only_at_checkpoints(monkeypatch, checkpoint):
+    if checkpoint is not None:
+        monkeypatch.setattr(equivalence, "_CHECKPOINT", checkpoint)
+    sweep, o_mul, o_divmod = equivalence._sweep, equivalence.o_mul, equivalence.o_divmod
+    calls = collections.Counter()
+    law = []
+
+    def sweep_named(name, cases, detail=""):
+        law.append(name)
+        return sweep(name, cases, detail)
+
+    def counted(function, name):
+        def call(x, y):
+            calls[law[-1], name] += 1
+            return function(x, y)
+
+        return call
+
+    monkeypatch.setattr(equivalence, "_sweep", sweep_named)
+    monkeypatch.setattr(equivalence, "o_mul", counted(o_mul, "o_mul"))
+    monkeypatch.setattr(equivalence, "o_divmod", counted(o_divmod, "o_divmod"))
+    mul, div = one_sided_reports(monkeypatch)
+    assert mul.holds and div.holds
+    fresh = 10_000 // equivalence._CHECKPOINT
+    assert calls["mul-equiv-one-sided", "o_mul"] == calls["div-equiv-one-sided", "o_divmod"] == fresh
+    assert calls["mul-equiv-one-sided", "o_divmod"] == calls["div-equiv-one-sided", "o_mul"] == 0
