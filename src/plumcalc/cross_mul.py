@@ -44,7 +44,7 @@ from itertools import repeat, starmap
 from operator import getitem, mul
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .digit_core import _CARRY10, _CLUB10, _WEDGE10, carry, clubsuit
+from .digit_core import _CARRY10, _CLUB10, _WEDGE10
 from .digit_string import (
     DigitString,
     SignedDigitString,
@@ -90,7 +90,7 @@ class ColumnBreakdown:
     total: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MulTrace:
     """Record of one multiplication: signed columns and final digits.
 
@@ -106,6 +106,23 @@ class MulTrace:
     radix_power: int
     signed: SignedDigitString
     product: DigitString
+
+    def __init__(
+        self,
+        method: str,
+        a: DigitString,
+        b: DigitString,
+        radix_power: int,
+        signed: SignedDigitString,
+        product: DigitString,
+    ) -> None:
+        fields = self.__dict__  # stored directly, as in ``SignedDigitString.__init__``
+        fields["method"] = method
+        fields["a"] = a
+        fields["b"] = b
+        fields["radix_power"] = radix_power
+        fields["signed"] = signed
+        fields["product"] = product
 
     @cached_property
     def columns(self) -> tuple[ColumnBreakdown, ...]:
@@ -239,10 +256,10 @@ def _plum_columns(xs: tuple[int, ...], ys: tuple[int, ...]) -> list[int]:
     if len(xs) == len(ys) == 1:
         return [xs[0] * ys[0]]
     columns = _wedge_columns(xs, ys)[1:]
-    columns[0] += 10 * carry(xs[0], ys[0])
-    trailing = xs[-1] * ys[-1]
-    columns[-2] += trailing // 10 - carry(xs[-1], ys[-1])
-    columns[-1] += trailing % 10 - clubsuit(xs[-1], ys[-1])
+    columns[0] += 10 * _CARRY10[xs[0]][ys[0]]
+    x, y = xs[-1], ys[-1]
+    columns[-2] += x * y // 10 - _CARRY10[x][y]
+    columns[-1] += x * y % 10 - _CLUB10[x][y]
     return columns
 
 

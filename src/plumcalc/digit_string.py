@@ -162,11 +162,16 @@ def _valid_by_construction(digits: tuple[int, ...]) -> DigitString:
     return ds
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SignedDigitString:
     """Column sequence with weight ``10**(len-1-i)`` per column, carries unresolved."""
 
     columns: tuple[int, ...]
+
+    def __init__(self, columns: tuple[int, ...]) -> None:
+        # stored straight into the instance dict: the generated __init__ of a
+        # frozen dataclass pays one object.__setattr__ call per field
+        self.__dict__["columns"] = columns
 
     def value(self) -> int:
         """The columns read in radix 10; columns in another radix, as on a segment trace, give another number."""
@@ -241,8 +246,9 @@ def normalize_stats(s: SignedDigitString, radix_power: int = 1) -> tuple[DigitSt
     carry = 0
     carries = 0
     for column in reversed(s.columns):
-        carry, limb = divmod(column + carry, radix)
-        limbs.append(limb)
+        column += carry
+        carry = column // radix
+        limbs.append(column % radix)
         if carry:
             carries += 1
     if carry < 0:
@@ -258,5 +264,15 @@ def normalize_stats(s: SignedDigitString, radix_power: int = 1) -> tuple[DigitSt
 
 
 def normalize(s: SignedDigitString, radix_power: int = 1) -> DigitString:
-    """Value-preserving conversion of a signed column sequence to canonical digits."""
-    return normalize_stats(s, radix_power)[0]
+    """Value-preserving conversion of a signed column sequence to canonical digits.
+
+    Up to ``_LEAF`` radix-10 columns are one ``_horner`` leaf whose value is
+    written out by ``_decimal_digits``; longer columns, and columns in radix
+    ``10**radix_power``, take ``normalize_stats``' carry loop.
+    """
+    if radix_power != 1 or len(s.columns) > _LEAF:
+        return normalize_stats(s, radix_power)[0]
+    total = _horner(s.columns, 10)
+    if total < 0:
+        raise ValueError("signed digit string has negative total value")
+    return _valid_by_construction(tuple(_decimal_digits(total)))

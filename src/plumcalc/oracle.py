@@ -10,6 +10,7 @@ goal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Iterable, Sequence
 
 __all__ = ["Nat", "o_add", "o_sub", "o_mul", "o_divmod", "o_cmp"]
@@ -25,7 +26,7 @@ class Nat:
     limbs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if any(not 0 <= d <= 9 for d in self.limbs):
+        if self.limbs and (min(self.limbs) < 0 or max(self.limbs) > 9):
             raise ValueError(f"limbs must lie in 0..9: {self.limbs}")
         if self.limbs and self.limbs[-1] == 0:
             raise ValueError(f"non-canonical high zero limb: {self.limbs}")
@@ -99,12 +100,10 @@ def o_cmp(x: Nat, y: Nat) -> int:
 
 
 def o_add(x: Nat, y: Nat) -> Nat:
-    longer, shorter = (x.limbs, y.limbs) if len(x.limbs) >= len(y.limbs) else (y.limbs, x.limbs)
     out = []
     carry = 0
-    for i, limb in enumerate(longer):
-        total = limb + carry + (shorter[i] if i < len(shorter) else 0)
-        carry, digit = divmod(total, 10)
+    for xd, yd in zip_longest(x.limbs, y.limbs, fillvalue=0):
+        carry, digit = divmod(xd + yd + carry, 10)
         out.append(digit)
     if carry:
         out.append(carry)

@@ -52,11 +52,18 @@ from typing import Sequence
 
 from .cross_mul import Term, _diagonal_terms, _wedge_columns
 from .digit_core import carry
-from .digit_string import DigitString, _decimal_digits, _decimal_text, _has_stray_digit, _horner
+from .digit_string import (
+    DigitString,
+    _decimal_digits,
+    _decimal_text,
+    _has_stray_digit,
+    _horner,
+    _valid_by_construction,
+)
 
 __all__ = ["DivisionStep", "DivisionTrace", "pp0_plum", "pp0_wedge", "pp1", "divmod", "div_decimal", "DIV_METHODS"]
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DivisionStep:
     """One step of the division loop.
 
@@ -78,6 +85,29 @@ class DivisionStep:
     remainder: int
     division: tuple[str, DigitString, tuple[int, ...]] = field(repr=False, compare=False)
 
+    def __init__(
+        self,
+        index: int,
+        digit: int,
+        interim: int,
+        pp0: int,
+        after_pp0: int,
+        quotient_digit: int | None,
+        pp1: int | None,
+        remainder: int,
+        division: tuple[str, DigitString, tuple[int, ...]],
+    ) -> None:
+        fields = self.__dict__  # stored directly, as in ``SignedDigitString.__init__``
+        fields["index"] = index
+        fields["digit"] = digit
+        fields["interim"] = interim
+        fields["pp0"] = pp0
+        fields["after_pp0"] = after_pp0
+        fields["quotient_digit"] = quotient_digit
+        fields["pp1"] = pp1
+        fields["remainder"] = remainder
+        fields["division"] = division
+
     @cached_property
     def pp0_terms(self) -> tuple[Term, ...]:
         """Terms of ``pp0`` in the division's method; their values sum to ``pp0``."""
@@ -92,7 +122,7 @@ class DivisionStep:
         return pp1(self.division[1], self.quotient_digit)[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DivisionTrace:
     """Complete record of one division, including a possibly zero-padded quotient."""
 
@@ -103,6 +133,25 @@ class DivisionTrace:
     quotient_digits: tuple[int, ...]
     remainder: DigitString
     _columns: tuple[int, ...] = field(repr=False, compare=False)  # the kernel's W; empty for a zero quotient
+
+    def __init__(
+        self,
+        method: str,
+        dividend: DigitString,
+        divisor: DigitString,
+        quotient: DigitString,
+        quotient_digits: tuple[int, ...],
+        remainder: DigitString,
+        _columns: tuple[int, ...],
+    ) -> None:
+        fields = self.__dict__  # stored directly, as in ``SignedDigitString.__init__``
+        fields["method"] = method
+        fields["dividend"] = dividend
+        fields["divisor"] = divisor
+        fields["quotient"] = quotient
+        fields["quotient_digits"] = quotient_digits
+        fields["remainder"] = remainder
+        fields["_columns"] = _columns
 
     @cached_property
     def steps(self) -> tuple[DivisionStep, ...]:
@@ -197,12 +246,12 @@ def divmod(a: DigitString, b: DigitString, method: str = "plum") -> tuple[DigitS
     dividend = int(a)
     q, r = builtins.divmod(dividend, int(b))
     if not q:
-        quotient = DigitString((0,))
+        quotient = _valid_by_construction((0,))
         return quotient, a, DivisionTrace(method, a, b, quotient, (), a, ())
     c = tuple(_decimal_digits(q, s - t + 1))
     columns = tuple(_wedge_columns(b.digits[1:], c)) if t > 1 else (0,) * s
     # a >= 10**(s-1) and b < 10**t, so q has at least s - t digits: c has at most one leading zero
-    quotient = DigitString(c[1:] if c[0] == 0 else c)
+    quotient = _valid_by_construction(c[1:] if c[0] == 0 else c)
     trace = DivisionTrace(method, a, b, quotient, c, DigitString.from_int(r), columns)
     chain = dividend - trace.pp_reconstruction()
     if chain != r:

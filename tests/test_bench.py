@@ -9,6 +9,7 @@ import tracemalloc
 import pytest
 
 from plumcalc.bench import BENCH_METHODS, CSV_HEADER, BenchMetrics, metrics_to_csv, run_bench
+from plumcalc.digit_string import DigitString
 from plumcalc.equivalence import _random_digits, _seeded_rng
 
 
@@ -94,6 +95,26 @@ def test_product_check_aborts_on_mismatch(monkeypatch):
     message = f"product mismatch for plum on {a} * {b}: got {a * b + 1}, expected {a * b}"
     with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
         run_bench(sizes=[3], trials=1, seed=0, methods=["plum"])
+
+
+@pytest.mark.parametrize("wrong", ["normalize", "normalize_stats"])
+def test_product_check_compares_normalize_with_normalize_stats(monkeypatch, wrong):
+    # bench times normalize and counts carries with normalize_stats: both must give the product
+    from plumcalc import bench
+
+    right = getattr(bench, wrong)
+
+    def one_too_high(signed):
+        result = right(signed)
+        product = result if wrong == "normalize" else result[0]
+        off = DigitString.from_int(int(product) + 1)
+        return off if wrong == "normalize" else (off, result[1])
+
+    monkeypatch.setattr(bench, wrong, one_too_high)
+    a, b = (int(_random_digits(_seeded_rng(0, "wedge", 4, 0, side), 4)) for side in (0, 1))
+    message = f"product mismatch for wedge on {a} * {b}: got {a * b + 1}, expected {a * b}"
+    with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+        run_bench(sizes=[4], trials=1, seed=0, methods=["wedge"])
 
 
 def test_every_method_at_1000_digits():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from int_limits import int_digit_limit
 from plumcalc.digit_string import (
+    _LEAF,
     _NUMERAL_BYTES,
     DigitString,
     SegmentString,
@@ -58,10 +59,10 @@ def test_digit_string_invariants():
     st.lists(st.integers(min_value=-(10**5), max_value=10**5), max_size=24),
 )
 def test_results_built_unchecked_pass_the_public_check(value, text, radix_power, columns):
-    # from_int, parse and normalize_stats build their results without DigitString's check
+    # from_int, parse, normalize_stats and normalize build their results without DigitString's check
     results = [DigitString.from_int(value), parse(text)]
     s = SignedDigitString((10**5, *columns))  # the leading column keeps the value non-negative
-    results.append(normalize_stats(s, radix_power)[0])
+    results += [normalize_stats(s, radix_power)[0], normalize(s, radix_power)]
     for result in results:
         assert type(result) is DigitString
         assert DigitString(result.digits) == result
@@ -198,14 +199,31 @@ def normalize_stats_reference(s, radix_power=1):
 
 
 def assert_normalize_matches_reference(columns, radix_power):
+    """``normalize_stats`` and ``normalize`` (one leaf up to ``_LEAF`` radix-10 columns) give the reference's result."""
     s = SignedDigitString(tuple(columns))
     try:
         expected = normalize_stats_reference(s, radix_power)
     except ValueError as exc:
-        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
-            normalize_stats(s, radix_power)
+        for function in (normalize_stats, normalize):
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                function(s, radix_power)
         return
     assert normalize_stats(s, radix_power) == expected
+    assert normalize(s, radix_power) == expected[0]
+
+
+@pytest.mark.parametrize("count", [_LEAF - 1, _LEAF, _LEAF + 1])
+def test_normalize_matches_the_reference_loop_around_the_leaf_size(count):
+    # up to _LEAF radix-10 columns are one Horner leaf, beyond it the carry loop
+    rng = random.Random(count)
+    columns = [rng.randrange(-99, 100) for _ in range(count)]
+    # leading columns of ±3 * 10**30 fix the total's sign, small ones may not, and 0 leaves a leading zero column
+    for lead in (3 * 10**30, -3 * 10**30, 3, -3, 0):
+        assert_normalize_matches_reference([lead, *columns[1:]], 1)
+    assert_normalize_matches_reference([0] * (count - 1) + [-1], 1)
+    assert_normalize_matches_reference([1] + [0] * (count - 2) + [-1], 1)
+    with pytest.raises(ValueError, match=r"^signed digit string has negative total value$"):
+        normalize(SignedDigitString((-1,) + (9,) * (count - 1)))
 
 
 @settings(max_examples=300)

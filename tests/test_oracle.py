@@ -25,10 +25,14 @@ def test_nat_from_digits_strips_leading_zeros():
 
 
 def test_nat_rejects_bad_limbs():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^limbs must lie in 0\.\.9: \(10,\)$"):
         Nat((10,))
-    with pytest.raises(ValueError):
-        Nat((1, 0))  # high zero limb
+    with pytest.raises(ValueError, match=r"^limbs must lie in 0\.\.9: \(-1,\)$"):
+        Nat((-1,))
+    with pytest.raises(ValueError, match=r"^limbs must lie in 0\.\.9: \(3, 10, 1\)$"):
+        Nat((3, 10, 1))
+    with pytest.raises(ValueError, match=r"^non-canonical high zero limb: \(1, 0\)$"):
+        Nat((1, 0))
     with pytest.raises(ValueError):
         Nat.from_int(-1)
 

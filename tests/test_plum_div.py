@@ -383,9 +383,10 @@ def test_divmod_agrees_random_large(x, y, method):
     q, r, trace = plum_div.divmod(ds(x), ds(y), method)
     assert (int(q), int(r)) == (x // y, x % y)
     assert trace.pp_reconstruction() == y * (x // y)
-    # canonical outputs
+    # canonical outputs, which pass the public check they were built without
     assert str(q) == str(x // y)
     assert str(r) == str(x % y)
+    assert DigitString(q.digits) == q and DigitString(r.digits) == r
 
 
 @settings(max_examples=40, deadline=None)
