@@ -47,8 +47,8 @@ MAX_SEGMENT = 100000
 # one-sided sweeps' 10**4 range), from limit operands built up front
 MAX_LIMIT = 10000
 # a trial is one column-kernel call, its normalize and an int product check:
-# one trial of each method at this bound takes about 24 s, plum and wedge
-# 10-12 s each (CPython 3.11.7, 37 MB peak)
+# one trial of each method at this bound takes about 12 s, plum and wedge
+# 5-6 s each (CPython 3.11.7, 50 MB peak)
 MAX_BENCH_SIZE = 100000
 
 

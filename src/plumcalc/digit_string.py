@@ -83,7 +83,7 @@ def _text_value(text: str | bytes) -> int:
 
 
 def _decimal_text(value: int, count: int = 1) -> str:
-    """Decimal numeral of ``value`` of any sign, zero-padded to ``count`` like ``str.zfill``.
+    """Decimal numeral of ``value`` of any sign; a non-negative one is zero-padded to ``count`` digits.
 
     A value beyond ``10**_BLOCK`` is split by the largest cached
     ``10**(_BLOCK * 2**j)`` below it and each part converted in turn, so no
@@ -92,7 +92,7 @@ def _decimal_text(value: int, count: int = 1) -> str:
     if abs(value) < _BLOCK_LIMIT:
         return str(value).zfill(count)
     if value < 0:
-        return "-" + _decimal_text(-value, count - 1)
+        return "-" + _decimal_text(-value)
     low = _BLOCK
     while value >= _power(10, 2 * low):
         low *= 2
@@ -102,7 +102,8 @@ def _decimal_text(value: int, count: int = 1) -> str:
 
 def _decimal_digits(value: int, count: int = 1) -> bytes:
     """Decimal digits of ``value >= 0`` as byte values, most significant first, zero-padded to ``count``."""
-    return _decimal_text(value, count).encode("ascii").translate(_DIGIT_BYTES)
+    text = str(value).zfill(count) if value < _BLOCK_LIMIT else _decimal_text(value, count)
+    return text.encode("ascii").translate(_DIGIT_BYTES)
 
 
 def _has_stray_digit(values: Sequence[int]) -> bool:

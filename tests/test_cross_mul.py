@@ -264,16 +264,21 @@ def test_kernel_edge_shapes(x, y):
         assert int(method(a, b)[0]) == x * y
 
 
-# --- the two kernel paths: packed products and the per-pair basecase ---------
+# --- the three kernel paths: the per-pair basecase, one packed point, two points
 
-ALL_BASECASE = 10**9  # more digit pairs than any operand these tests multiply
+EVERY_CALL = 10**12  # more digit pairs than any operand these tests multiply
+
+# ``_BASECASE_PAIRS`` and ``_TWO_POINT_PAIRS`` that put every kernel call on each path
+KERNEL_PATHS = {"basecase": (EVERY_CALL, EVERY_CALL), "one-point": (0, EVERY_CALL), "two-point": (0, 0)}
 
 
-def kernel_paths(monkeypatch):
-    """Yield once with every kernel call on the packed path, then once with every call on the basecase."""
-    for pairs in (0, ALL_BASECASE):
-        monkeypatch.setattr(cross_mul, "_BASECASE_PAIRS", pairs)
-        yield pairs
+def kernel_paths(monkeypatch, paths=tuple(KERNEL_PATHS)):
+    """Yield each path's name with every kernel call on that path: basecase, one-point, two-point."""
+    for path in paths:
+        basecase, two_point = KERNEL_PATHS[path]
+        monkeypatch.setattr(cross_mul, "_BASECASE_PAIRS", basecase)
+        monkeypatch.setattr(cross_mul, "_TWO_POINT_PAIRS", two_point)
+        yield path
 
 
 @pytest.mark.parametrize("length", range(1, 13))
@@ -341,13 +346,16 @@ def test_wedge_columns_every_column_up_to_40_digits(monkeypatch):
 
 
 @pytest.mark.parametrize("size", [2977, 2978, 2979])
-def test_wedge_columns_sampled_across_width_two_to_four(size):
-    # min(m, n) = 2977 packs two bytes a slot, 2978 and 2979 four
+def test_wedge_columns_sampled_across_width_two_to_four(size, monkeypatch):
+    # min(m, n) = 2977 packs two bytes a slot, 2978 and 2979 four; at two
+    # points the half slots step from one byte to two
     sampled = [0, 1, 2, size - 1, size, size + 1, 2 * size - 3, 2 * size - 2, 2 * size - 1]
     for xs, ys in kernel_operands(size, size):
-        columns = cross_mul._wedge_columns(xs, ys)
-        assert len(columns) == 2 * size
-        assert [columns[k] for k in sampled] == [direct_wedge_column(xs, ys, k) for k in sampled]
+        expected = [direct_wedge_column(xs, ys, k) for k in sampled]
+        for path in kernel_paths(monkeypatch, ("one-point", "two-point")):
+            columns = cross_mul._wedge_columns(xs, ys)
+            assert len(columns) == 2 * size
+            assert [columns[k] for k in sampled] == expected, path
 
 
 @pytest.mark.parametrize("width", [1, 2, 4, 8, 9])
@@ -374,23 +382,44 @@ KERNEL_OPERANDS = [(7, 8), (386, 47), (10**12 - 1, 10**11 - 1), (int("2" * 40), 
 
 
 def test_non_native_unpack_matches_native(monkeypatch):
-    monkeypatch.setattr(cross_mul, "_BASECASE_PAIRS", 0)  # every call unpacks
     with int_digit_limit(0):
         operands = KERNEL_OPERANDS + [
             (int("31415926535897932384626433832795" * 94), int("27182818284590452353602874713527" * 94))
         ]
     operands = [(ds(x), ds(y)) for x, y in operands]
-    native = [all_columns(a, b) for a, b in operands]
-    monkeypatch.setattr(cross_mul, "_SIGNED_FORMATS", {})
-    assert [all_columns(a, b) for a, b in operands] == native
+    native_formats = cross_mul._SIGNED_FORMATS
+    for path in kernel_paths(monkeypatch, ("one-point", "two-point")):  # every call unpacks
+        monkeypatch.setattr(cross_mul, "_SIGNED_FORMATS", native_formats)
+        native = [all_columns(a, b) for a, b in operands]
+        monkeypatch.setattr(cross_mul, "_SIGNED_FORMATS", {})
+        assert [all_columns(a, b) for a, b in operands] == native, path
 
 
 def test_basecase_matches_packed_kernel(monkeypatch):
     # every method, segment length and division on the same operands, through
     # each path; the 3008-digit pair above would take seconds pair by pair
     operands = [(ds(x), ds(y)) for x, y in KERNEL_OPERANDS]
-    packed, basecase = ([all_columns(a, b) for a, b in operands] for _ in kernel_paths(monkeypatch))
-    assert basecase == packed
+    basecase, *packed = ([all_columns(a, b) for a, b in operands] for _ in kernel_paths(monkeypatch))
+    assert packed == [basecase, basecase]
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        (int("9" * 97), int("9" * 64)),  # 97 + 64 wedge columns: an odd count, and an even one for cross
+        (int("9" * 97), int("9" * 63)),  # an even count of wedge columns, an odd one for cross
+        (int("2" * 128), int("2" * 128)),
+        (3**20959, 7),  # 10000 digits by one: one carry product
+        (int("91" * 16), 10**40),  # divisor 10**40: ``b.digits[1:]`` is all zeros
+        (10**40, int("5" * 40)),
+    ],
+    ids=["97x64", "97x63", "128x128", "10000x1", "32x41", "41x40"],
+)
+def test_kernel_paths_agree_on_column_counts_and_short_multipliers(x, y, monkeypatch):
+    a, b = ds(x), ds(y)
+    one_point, two_point = (all_columns(a, b) for _ in kernel_paths(monkeypatch, ("one-point", "two-point")))
+    assert two_point == one_point
+    assert [int(method(a, b)[0]) for method in MUL_METHODS.values()] == [x * y] * 3
 
 
 def kernel_shapes():
@@ -414,10 +443,11 @@ def test_basecase_and_packed_columns_agree(monkeypatch, shape):
     # the kernel takes digits with leading zeros (divmod passes them), and
     # cross also takes segments of any length; each path is set for each example
     seg_len, xs, ys = shape
+    top = 10**seg_len - 1
     columns = []
     for _ in kernel_paths(monkeypatch):
-        columns.append((cross_mul._convolve(xs, ys), cross_mul._wedge_columns(xs, ys) if seg_len == 1 else None))
-    assert columns[0] == columns[1]
+        columns.append((cross_mul._convolve(xs, ys, top), cross_mul._wedge_columns(xs, ys) if seg_len == 1 else None))
+    assert columns[0] == columns[1] == columns[2]
 
 
 # --- traces are built only when read ----------------------------------------
