@@ -3,12 +3,14 @@
 Each trial runs the path every multiplication takes, the method's signed
 columns (``cross_mul._columns``) and one ``normalize``, and builds no trace, so
 counts follow from the method, the operand lengths and those columns: two runs
-with the same seed and configuration emit identical metrics; only the elapsed
-wall time differs.  ``elapsed_ns`` times exactly the column kernel and
-``normalize``.  The carry count comes from one ``normalize_stats`` call outside
-the timed region.  Every trial's product is checked against Python's ``int``
-product, and ``normalize_stats``' digits against ``normalize``'s, before any
-metric for it is recorded — a mismatch aborts the run.
+with the same seed and configuration emit identical metrics; only the
+``*_ns`` wall times differ.  Both are taken on every trial: ``kernel_ns`` times
+the column kernel and the ``SignedDigitString`` of its columns, and
+``normalize_ns`` the ``normalize`` call that follows.  The carry count comes
+from one ``normalize_stats`` call outside the timed region.  Every trial's
+product is checked against Python's ``int`` product, and ``normalize_stats``'
+digits against ``normalize``'s, before any metric for it is recorded — a
+mismatch aborts the run.
 
 Counting rules (fixed, documented here so the CSV is comparable across runs):
 each residue or carry lookup counts as one single-digit multiplication, a kept
@@ -34,7 +36,7 @@ from .equivalence import _random_digits, _seeded_rng
 
 __all__ = ["BenchMetrics", "run_bench", "metrics_to_csv", "BENCH_METHODS", "CSV_HEADER"]
 
-CSV_HEADER = "method,size,trials,mul_count,carry_count,max_abs_col,mean_abs_col,elapsed_ns"
+CSV_HEADER = "method,size,trials,mul_count,carry_count,max_abs_col,mean_abs_col,kernel_ns,normalize_ns"
 
 
 def _mul_count(method: str, m: int, n: int) -> int:
@@ -57,7 +59,8 @@ class BenchMetrics:
     carry_count: int
     max_abs_col: int
     mean_abs_col: float
-    elapsed_ns: int
+    kernel_ns: int
+    normalize_ns: int
 
 
 BENCH_METHODS = (*MUL_METHODS, "wedge_single")
@@ -89,7 +92,7 @@ def run_bench(
     for method in sorted(methods):
         single = method == "wedge_single"
         for size in sorted(sizes):
-            carry_count = elapsed = col_sum = col_max = col_count = 0
+            carry_count = kernel_ns = normalize_ns = col_sum = col_max = col_count = 0
             for trial in range(trials):
                 a = _random_digits(_seeded_rng(seed, method, size, trial, 0), size)
                 b = _random_digits(_seeded_rng(seed, method, size, trial, 1), 1 if single else size)
@@ -97,8 +100,11 @@ def run_bench(
                 start = time.perf_counter_ns()
                 columns = _columns(method, a, b, 1)
                 signed = SignedDigitString(tuple(columns))
+                middle = time.perf_counter_ns()
                 product = normalize(signed)
-                elapsed += time.perf_counter_ns() - start
+                end = time.perf_counter_ns()
+                kernel_ns += middle - start
+                normalize_ns += end - middle
 
                 stepped, carries = normalize_stats(signed)
                 expected = int(a) * int(b)
@@ -114,8 +120,9 @@ def run_bench(
                 col_count += len(magnitudes)
                 carry_count += carries
             mul_count = trials * _mul_count(method, size, 1 if single else size)
+            mean_abs_col = col_sum / col_count
             results.append(
-                BenchMetrics(method, size, trials, mul_count, carry_count, col_max, col_sum / col_count, elapsed)
+                BenchMetrics(method, size, trials, mul_count, carry_count, col_max, mean_abs_col, kernel_ns, normalize_ns)
             )
     return results
 
@@ -126,6 +133,6 @@ def metrics_to_csv(metrics: Sequence[BenchMetrics]) -> str:
     for m in metrics:
         lines.append(
             f"{m.method},{m.size},{m.trials},{m.mul_count},{m.carry_count},"
-            f"{m.max_abs_col},{m.mean_abs_col:.6f},{m.elapsed_ns}"
+            f"{m.max_abs_col},{m.mean_abs_col:.6f},{m.kernel_ns},{m.normalize_ns}"
         )
     return "\n".join(lines) + "\n"

@@ -427,11 +427,12 @@ def _diagonal_cells(
     A cell is ``tables[kind][xs[i]][ys[k - i]]``, or without ``tables`` the pair
     ``(xs[i], ys[k - i])``.  A wedge cell is ``tables["wedge"][xs[i]][xs[i+1]][ys[k - i]]``,
     so its rows are the ``len(xs) - 1`` windows of ``xs``.  ``ys`` comes reversed,
-    so that the partners of a diagonal's rows are one slice.
+    so that the partners of a diagonal's rows are one slice.  The range of rows
+    may run past the last row of ``xs``; the cells, cut by the slices, stop there.
     """
     wedge = kind == "wedge"
     start = len(ys_reversed) - 1 - k
-    rows = range(max(first, -start), min(len(xs) - wedge - 1, k) + 1)
+    rows = range(max(first, -start), k + 1)
     lefts, rights = xs[rows.start : rows.stop], ys_reversed[start + rows.start : start + rows.stop]
     if tables is None:
         return rows, zip(lefts, rights)

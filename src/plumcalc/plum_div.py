@@ -181,7 +181,9 @@ class DivisionTrace:
 
         By linearity this is ``_horner(W) + b[1] * q * 10**(t-1)``: the ``b[1]*c[n]``
         parts of the ``PP_n`` sum to ``b[1]`` times the quotient, whose last digit
-        ``c[s-t+1]`` has weight ``10**(t-1)``.  It is evaluated once per trace.
+        ``c[s-t+1]`` has weight ``10**(t-1)``.  It is evaluated once per trace;
+        ``W`` of more than ``digit_string._PLANE_COLUMNS`` columns is read by byte
+        planes in blocks of 512, with no Python step per column.
         """
         return self._reconstruction
 

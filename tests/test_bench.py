@@ -13,6 +13,13 @@ from plumcalc.digit_string import DigitString
 from plumcalc.equivalence import _random_digits, _seeded_rng
 
 
+def untimed(metrics: list[BenchMetrics]) -> list[str]:
+    """The CSV rows of ``metrics`` without the ``*_ns`` timing columns, the only ones that may vary."""
+    rows = [row.split(",") for row in metrics_to_csv(metrics).splitlines()]
+    kept = [i for i, name in enumerate(rows[0]) if not name.endswith("_ns")]
+    return [",".join(row[i] for i in kept) for row in rows]
+
+
 def test_run_bench_shape_and_order():
     metrics = run_bench(sizes=[8, 4], trials=3, seed=7, methods=["wedge", "plum"])
     assert [(m.method, m.size) for m in metrics] == [
@@ -146,25 +153,22 @@ def test_csv_format():
     fields = lines[1].split(",")
     assert fields[0] == "cross"
     assert fields[1] == "4"
-    assert len(fields) == 8
+    assert len(fields) == 9
+    assert CSV_HEADER.split(",")[-2:] == ["kernel_ns", "normalize_ns"]
+    assert all(int(field) > 0 for field in fields[-2:])
 
 
 def test_csv_deterministic_except_elapsed():
-    def stable(ms: list[BenchMetrics]) -> str:
-        rows = metrics_to_csv(ms).splitlines()
-        return "\n".join(",".join(r.split(",")[:-1]) for r in rows)
-
     a = run_bench(sizes=[2, 4], trials=3, seed=11)
     b = run_bench(sizes=[2, 4], trials=3, seed=11)
-    assert stable(a) == stable(b)
+    assert untimed(a) == untimed(b)
     assert set(BENCH_METHODS) == {m.method for m in a}
 
 
 def test_csv_counts_pinned():
     # counts of a fixed configuration; a change to the operand stream or to any
     # counting rule shows up here, which a same-run comparison cannot catch
-    rows = metrics_to_csv(run_bench(sizes=[4, 8], trials=3, seed=11)).splitlines()
-    assert [",".join(r.split(",")[:-1]) for r in rows] == [
+    assert untimed(run_bench(sizes=[4, 8], trials=3, seed=11)) == [
         "method,size,trials,mul_count,carry_count,max_abs_col,mean_abs_col",
         "cross,4,3,48,16,121,40.476190",
         "cross,8,3,192,42,288,87.688889",

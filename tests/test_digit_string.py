@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 
 from int_limits import int_digit_limit
 from plumcalc.digit_string import (
+    _BLOCK,
     _LEAF,
     _NUMERAL_BYTES,
+    _PLANE_COLUMNS,
     DigitString,
     SegmentString,
     SignedDigitString,
@@ -214,7 +216,7 @@ def assert_normalize_matches_reference(columns, radix_power):
 
 @pytest.mark.parametrize("count", [_LEAF - 1, _LEAF, _LEAF + 1])
 def test_normalize_matches_the_reference_loop_around_the_leaf_size(count):
-    # up to _LEAF radix-10 columns are one Horner leaf, beyond it the carry loop
+    # up to _LEAF radix-10 columns are one Horner leaf, beyond it the carry loop or byte planes
     rng = random.Random(count)
     columns = [rng.randrange(-99, 100) for _ in range(count)]
     # leading columns of ±3 * 10**30 fix the total's sign, small ones may not, and 0 leaves a leading zero column
@@ -290,6 +292,45 @@ def test_horner_matches_the_plain_loop_on_signed_values(length, radix):
     assert _horner(values, radix) == horner_reference(values, radix)
     assert _horner(list(values), radix) == horner_reference(values, radix)
     assert _horner((), radix) == 0
+
+
+# either side of the byte-plane crossover and of one and two 512-column blocks
+PLANE_LENGTHS = (_PLANE_COLUMNS, _PLANE_COLUMNS + 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK, 2 * _BLOCK + 1)
+# digits, the largest 2-byte column, the first past 2, 4 and 8 bytes, and one past 64 bits
+PLANE_EXTREMES = (9, 2**15 - 1, 2**15, 2**31, 2**63, 3 * 2**64 + 5)
+
+
+def assert_planes_match_the_loops(columns):
+    """``_horner(columns, 10)`` equals the plain loop, and ``normalize`` gives ``normalize_stats``' digits or error."""
+    s = SignedDigitString(tuple(columns))
+    assert _horner(s.columns, 10) == horner_reference(s.columns, 10)
+    try:
+        expected = normalize_stats(s)[0]
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            normalize(s)
+        return
+    assert normalize(s) == expected
+
+
+@pytest.mark.parametrize("extreme", PLANE_EXTREMES)
+@pytest.mark.parametrize("count", PLANE_LENGTHS)
+def test_byte_planes_match_the_loops_at_every_packing_width(count, extreme):
+    rng = random.Random(count + extreme)
+    small = [rng.randint(-99, 99) for _ in range(count)]
+    # +-extreme and -extreme - 1 at a few places: the edges of the signed range of each width
+    spiked = list(small)
+    for place in rng.sample(range(count), 6):
+        spiked[place] = rng.choice((extreme, -extreme, -extreme - 1))
+    negative = [-rng.randint(0, extreme) for _ in range(count)]
+    with int_digit_limit(640):
+        for columns in (spiked, negative, [c - extreme for c in small]):
+            for lead in (0, 1, -1, 10 * extreme, -10 * extreme):
+                assert_planes_match_the_loops([lead, *columns[1:]])
+        # a negative total only the last column makes, a total of 1 and a zero total
+        assert_planes_match_the_loops([0] * (count - 1) + [-1])
+        assert_planes_match_the_loops([1] + [-9] * (count - 1))
+        assert_planes_match_the_loops([0] * count)
 
 
 @pytest.mark.parametrize("length", EDGE_LENGTHS)

@@ -160,27 +160,30 @@ def test_one_sided_sweeps_call_the_oracle_only_at_checkpoints(monkeypatch, check
     assert calls["mul-equiv-one-sided", "o_divmod"] == calls["div-equiv-one-sided", "o_mul"] == 0
 
 
-def test_a_product_wrong_only_by_one_is_named_by_the_one_sided_sweep(monkeypatch):
+# the values are written out, not read from ONE_SIDED_MULTIPLIERS, so a changed value fails here
+@pytest.mark.parametrize("multiplier", [1, 7, 99, 9999])
+def test_a_product_wrong_only_by_one_is_named_by_the_one_sided_sweep(monkeypatch, multiplier):
     def wrong_by_one(a, b):
         product, trace = plum_mul(a, b)
-        return (DigitString.from_int(int(product) + 1) if b.digits == (1,) else product), trace
+        return (DigitString.from_int(int(product) + 1) if int(b) == multiplier else product), trace
 
     monkeypatch.setitem(MUL_METHODS, "plum", wrong_by_one)
     # the box stops below 2 and the random pairs are long, so only the
-    # one-sided multipliers reach most values times 1
+    # one-sided multipliers reach most values times the multiplier
     report = equivalence.verify_mul_equivalence(limit=2, random_pairs=1, seed=7)[1]
     assert report.law == "mul-equiv-one-sided"
-    assert list(report.violations) == [((a, 1), a, a + 1) for a in range(10_000)]
+    assert list(report.violations) == [((a, multiplier), a * multiplier, a * multiplier + 1) for a in range(10_000)]
 
 
-def test_a_quotient_wrong_only_by_one_is_named_by_the_one_sided_sweep(monkeypatch):
+@pytest.mark.parametrize("divisor", [1, 7, 99, 369, 3456])
+def test_a_quotient_wrong_only_by_one_is_named_by_the_one_sided_sweep(monkeypatch, divisor):
     divmod_ = plum_div.divmod
 
     def wrong_by_one(a, b, method="plum"):
         q, r, trace = divmod_(a, b, method)
-        return (DigitString.from_int(int(q) + 1) if b.digits == (1,) else q), r, trace
+        return (DigitString.from_int(int(q) + 1) if int(b) == divisor else q), r, trace
 
     monkeypatch.setattr(plum_div, "divmod", wrong_by_one)
     report = equivalence.verify_div_equivalence(limit=2, random_pairs=1, seed=7)[1]
     assert report.law == "div-equiv-one-sided"
-    assert list(report.violations) == [((a, 1), a, a + 1) for a in range(10_000)]
+    assert list(report.violations) == [((a, divisor), a // divisor, a // divisor + 1) for a in range(10_000)]
