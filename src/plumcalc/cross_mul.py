@@ -23,24 +23,20 @@ Column conventions, 0-indexed from the most significant end:
 With ``P[k] = sum(a[i]*b[j])`` and ``C[k] = sum(J(a[i] ♣ b[j]))`` over
 ``i+j == k``, ``a ♣ c == a*c - 10*J(a ♣ c)`` makes a wedge column
 ``P[k-1] - 10*C[k-1] + C[k]`` and a plum column the wedge column one place
-lower, with the leading and trailing products as fixed corrections.  Above
-``_BASECASE_PAIRS`` digit pairs the kernel computes columns without visiting
-the pairs one by one.  Operands are packed one value per fixed-width byte slot
-into big integers (Kronecker substitution): ``P`` is one product and ``C`` one
-product per distinct multiplier digit.  Slot widths follow from the operand
-lengths and the largest value a caller passes (9 for digits), not from a scan
-of the operands.  Packed integers are exact whatever the slot width, so with
-``β = 2**(8*width)`` the packed ``h(β) = β*(P(β) - 10*C(β)) + C(β)`` holds
-every wedge column in a slot, and one signed unpack reads them.  Past
-``_TWO_POINT_PAIRS`` the kernel evaluates at two points instead (multipoint
-Kronecker substitution, Harvey, JSC 2009): slots of half the width, and each
-product formed at ``β`` and at ``-β``, where ``f(-β) = f(β) - 2*odd(β)`` and
-``odd`` is the spread with its even slots zeroed.  Then ``(h(β) + h(-β)) / 2``
-holds the even columns and ``(h(β) - h(-β)) / (2*β)`` the odd ones, each in
-slots of the full width.  At or below ``_BASECASE_PAIRS``, the basecase visits
-each pair once: a cross pair adds ``x*y`` to its column, and a wedge pair adds
-its residue ``x ♣ y`` to column ``i+j+1`` and its carry ``J(x ♣ y)`` to column
-``i+j``, read from the digit tables.
+lower, with the leading and trailing products as fixed corrections.  As
+polynomials in ``z``, the cross columns are ``P(z)`` and the wedge columns
+``z*(P(z) - 10*C(z)) + C(z)``, where ``C`` is one product per distinct
+multiplier digit.  Above ``_BASECASE_PAIRS`` digit pairs the kernel computes
+columns without visiting the pairs one by one: ``_packed_columns`` packs the
+operands one value per fixed-width byte slot into big integers, evaluates the
+columns' polynomial at one or two points (Kronecker substitution, and its
+multipoint form, Harvey, JSC 2009) and reads the columns back by signed
+unpacks.  Slot widths follow from the operand lengths and the largest value a
+caller passes (9 for digits), not from a scan of the operands.  At or below
+``_BASECASE_PAIRS``, the basecase visits each pair once: a cross pair adds
+``x*y`` to its column, and a wedge pair adds its residue ``x ♣ y`` to column
+``i+j+1`` and its carry ``J(x ♣ y)`` to column ``i+j``, read from the digit
+tables.
 """
 
 from __future__ import annotations
@@ -221,11 +217,13 @@ def _odd_slots(spread: bytes | bytearray, width: int) -> bytearray:
     return odd
 
 
-def _at_two_points(
-    spread_x: bytes | bytearray, odd_x: bytearray, spread_y: bytes | bytearray, odd_y: bytearray
+def _at_points(
+    spread_x: bytes | bytearray, odd_x: bytes | bytearray, spread_y: bytes | bytearray, odd_y: bytes | bytearray
 ) -> tuple[int, int]:
-    """The product of two packed operands at ``β`` and at ``-β``."""
+    """The product of two packed operands at ``β``, and at ``-β`` from their odd slots (0 when those are empty)."""
     x, y = int.from_bytes(spread_x, "little"), int.from_bytes(spread_y, "little")
+    if not odd_x:
+        return x * y, 0
     return x * y, (x - 2 * int.from_bytes(odd_x, "little")) * (y - 2 * int.from_bytes(odd_y, "little"))
 
 
@@ -248,12 +246,48 @@ def _unslot(packed: int, count: int, width: int) -> list[int]:
     return [int.from_bytes(raw[i : i + width], "little", signed=True) for i in range(0, len(raw), width)]
 
 
-def _interleave(plus: int, minus: int, count: int, width: int) -> list[int]:
-    """The ``count`` columns of ``h`` from ``plus = h(β)`` and ``minus = h(-β)``, ``β = 2**(8*width)``.
+def _packed_columns(
+    xs: Sequence[int], ys: Sequence[int], top: int, bound: int, digits: Sequence[int] | None = None
+) -> list[int]:
+    """Columns of ``h = P``, or with the wedge carry ``digits`` of ``h = z*(P - 10*C) + C``, packed.
 
-    ``(h(β) + h(-β)) / 2`` holds the even columns and ``(h(β) - h(-β)) / (2*β)``
-    the odd ones, each in slots of ``2*width`` bytes.
+    ``xs`` and ``ys`` hold values in ``0..top``, and ``bound`` is at least twice
+    every column's magnitude.  Packed products are exact at any slot width, so
+    the slots only have to hold the columns.  Up to ``_TWO_POINT_PAIRS`` digit
+    pairs (``short**2`` per product; 1 product for ``P`` and one per carry
+    digit) every column is a slot of ``h(β)``, ``β = 2**(8*width)``.  Past it,
+    slots of half the width give ``h(β)`` and ``h(-β)``: ``(h(β) + h(-β)) / 2``
+    holds the even columns and ``(h(β) - h(-β)) / (2*β)`` the odd ones, each in
+    slots of the full width.
     """
+    short = min(len(xs), len(ys))
+    count = len(xs) + len(ys) - (digits is None)
+    width = _slot_width(bound)
+    two_points = short * short * (1 + len(digits or ())) > _TWO_POINT_PAIRS
+    if two_points:
+        width = (width + 1) // 2
+    spread_x, spread_y = _slots(xs, width, top), _slots(ys, width, top)
+    odd_x = odd_y = b""
+    if two_points:
+        odd_x, odd_y = _odd_slots(spread_x, width), _odd_slots(spread_y, width)
+    plus, minus = _at_points(spread_x, odd_x, spread_y, odd_y)
+    if digits is not None:
+        carries_plus = carries_minus = 0
+        for d in digits:
+            carry_bytes, indicator_bytes = _CARRY_BYTES[d], _INDICATOR_BYTES[d]
+            carry_plus, carry_minus = _at_points(
+                spread_x.translate(carry_bytes),
+                odd_x.translate(carry_bytes),
+                spread_y.translate(indicator_bytes),
+                odd_y.translate(indicator_bytes),
+            )
+            carries_plus += carry_plus
+            carries_minus += carry_minus
+        # z*(P - 10*C) + C at z = β and at z = -β
+        plus = ((plus - 10 * carries_plus) << 8 * width) + carries_plus
+        minus = carries_minus - ((minus - 10 * carries_minus) << 8 * width)
+    if not two_points:
+        return _unslot(plus, count, width)
     columns = [0] * count
     columns[::2] = _unslot((plus + minus) >> 1, (count + 1) // 2, 2 * width)
     columns[1::2] = _unslot((plus - minus) >> (8 * width + 1), count // 2, 2 * width)
@@ -268,16 +302,7 @@ def _convolve(xs: Sequence[int], ys: Sequence[int], top: int) -> list[int]:
             for k, y in enumerate(ys, i):
                 columns[k] += x * y
         return columns
-    short = min(len(xs), len(ys))
-    width = _slot_width(2 * top * top * short)
-    count = len(xs) + len(ys) - 1
-    if short * short <= _TWO_POINT_PAIRS:
-        packed = int.from_bytes(_slots(xs, width, top), "little") * int.from_bytes(_slots(ys, width, top), "little")
-        return _unslot(packed, count, width)
-    width = (width + 1) // 2
-    spread_x, spread_y = _slots(xs, width, top), _slots(ys, width, top)
-    plus, minus = _at_two_points(spread_x, _odd_slots(spread_x, width), spread_y, _odd_slots(spread_y, width))
-    return _interleave(plus, minus, count, width)
+    return _packed_columns(xs, ys, top, 2 * top * top * min(len(xs), len(ys)))
 
 
 def _wedge_columns(xs: tuple[int, ...], ys: tuple[int, ...]) -> list[int]:
@@ -298,37 +323,7 @@ def _wedge_columns(xs: tuple[int, ...], ys: tuple[int, ...]) -> list[int]:
         return columns
     present = bytes(ys)
     digits = [d for d in range(1, 10) if d in present]
-    short = min(len(xs), len(ys))
-    width = _slot_width(22 * (short + 1))
-    count = len(xs) + len(ys)
-    if short * short * (len(digits) + 1) <= _TWO_POINT_PAIRS:
-        spread_x, spread_y = _slots(xs, width, 9), _slots(ys, width, 9)
-        products = int.from_bytes(spread_x, "little") * int.from_bytes(spread_y, "little")
-        carries = 0
-        for d in digits:
-            carries += int.from_bytes(spread_x.translate(_CARRY_BYTES[d]), "little") * int.from_bytes(
-                spread_y.translate(_INDICATOR_BYTES[d]), "little"
-            )
-        return _unslot(((products - 10 * carries) << 8 * width) + carries, count, width)
-    width = (width + 1) // 2
-    spread_x, spread_y = _slots(xs, width, 9), _slots(ys, width, 9)
-    odd_x, odd_y = _odd_slots(spread_x, width), _odd_slots(spread_y, width)
-    plus, minus = _at_two_points(spread_x, odd_x, spread_y, odd_y)
-    carries_plus = carries_minus = 0
-    for d in digits:
-        carry_bytes, indicator_bytes = _CARRY_BYTES[d], _INDICATOR_BYTES[d]
-        carry_plus, carry_minus = _at_two_points(
-            spread_x.translate(carry_bytes),
-            odd_x.translate(carry_bytes),
-            spread_y.translate(indicator_bytes),
-            odd_y.translate(indicator_bytes),
-        )
-        carries_plus += carry_plus
-        carries_minus += carry_minus
-    # z*(P - 10*C) + C at z = β and at z = -β
-    plus = ((plus - 10 * carries_plus) << 8 * width) + carries_plus
-    minus = carries_minus - ((minus - 10 * carries_minus) << 8 * width)
-    return _interleave(plus, minus, count, width)
+    return _packed_columns(xs, ys, 9, 22 * (min(len(xs), len(ys)) + 1), digits)
 
 
 def _plum_columns(xs: tuple[int, ...], ys: tuple[int, ...]) -> list[int]:

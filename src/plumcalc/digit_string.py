@@ -12,7 +12,8 @@ are evaluated in leaves of ``_LEAF`` values and the leaves joined pairwise by
 cached powers ``radix**(_LEAF * 2**j)``.  Past ``_PLANE_COLUMNS``, radix-10
 columns are read in leaves of up to ``_BLOCK`` with no Python step per column
 (:func:`_plane_value`): packed once as two's-complement integers, each byte
-plane is read as decimal numerals by ``int``.  :func:`normalize` takes such
+plane is read as decimal numerals by ``int``.  :func:`normalize` reads up to
+``_BLOCK`` radix-10 columns by one :func:`_horner`, and longer ones in such
 blocks from the least significant end, passing the carry up by one division
 by ``10**_BLOCK`` per block.  Digits and ``int`` meet through decimal text
 (:func:`_text_value`, :func:`_decimal_text`): blocks of at most ``_BLOCK``
@@ -49,10 +50,9 @@ _LEAF = 16  # values per Horner leaf: a leaf of decimal digits stays below 10**1
 _BLOCK = 512  # digits per int/str call, below every int_max_str_digits limit
 _BLOCK_LIMIT = 10**_BLOCK
 # Radix-10 columns past this many are read by byte planes (_plane_value), fewer
-# by Horner leaves or, in normalize, the carry loop.  Measured on plum and wedge
-# product columns (best of 7 x 3000 calls, us, without -> with planes): _horner
-# 4.3 -> 4.4 at 44 columns, 4.9 -> 4.5 at 48; normalize 6.1 -> 6.5 at 47,
-# 7.0 -> 7.1 at 51, 7.5 -> 6.9 at 55.  The planes' fixed cost is about 3.5 us.
+# by Horner leaves.  Measured on plum and wedge product columns (best of 7 x
+# 3000 calls, us, without -> with planes): _horner 4.3 -> 4.4 at 44 columns,
+# 4.9 -> 4.5 at 48.  The planes' fixed cost is about 3.5 us.
 _PLANE_COLUMNS = 48
 # bytes.translate tables: the hundreds, tens and ones digit of each byte value
 # as ASCII, and the same of a two's-complement top byte offset by 0x80
@@ -330,22 +330,22 @@ def normalize_stats(s: SignedDigitString, radix_power: int = 1) -> tuple[DigitSt
 def normalize(s: SignedDigitString, radix_power: int = 1) -> DigitString:
     """Value-preserving conversion of a signed column sequence to canonical digits.
 
-    Up to ``_LEAF`` radix-10 columns are one ``_horner`` leaf whose value is
-    written out by ``_decimal_digits``.  Columns in radix ``10**radix_power``,
-    and up to ``_PLANE_COLUMNS`` radix-10 ones, take ``normalize_stats``' carry
-    loop.  Longer radix-10 columns are read in blocks of ``_BLOCK`` from the
-    least significant end, each by one ``_plane_value``: a block's value plus
-    the carry from the block below is split by ``10**_BLOCK`` into its digits
-    and the carry passed up, so the work stays linear in the column count.
+    Columns in radix ``10**radix_power`` take ``normalize_stats``' carry loop.
+    Up to ``_BLOCK`` radix-10 columns are one ``_horner`` whose value is
+    written out by ``_decimal_digits``.  Longer ones are read in blocks of
+    ``_BLOCK`` from the least significant end, each by one ``_plane_value``: a
+    block's value plus the carry from the block below is split by
+    ``10**_BLOCK`` into its digits and the carry passed up, so the work stays
+    linear in the column count.
     """
+    if radix_power != 1:
+        return normalize_stats(s, radix_power)[0]
     columns = s.columns
-    if radix_power == 1 and len(columns) <= _LEAF:
+    if len(columns) <= _BLOCK:
         total = _horner(columns, 10)
         if total < 0:
             raise ValueError("signed digit string has negative total value")
         return _valid_by_construction(tuple(_decimal_digits(total)))
-    if radix_power != 1 or len(columns) <= _PLANE_COLUMNS:
-        return normalize_stats(s, radix_power)[0]
     blocks = []  # least significant first
     carry = 0
     for end in range(len(columns), _BLOCK, -_BLOCK):

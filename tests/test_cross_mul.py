@@ -19,7 +19,7 @@ from plumcalc.cross_mul import (
     wedge_mul,
     wedge_mul_single,
 )
-from plumcalc.digit_core import carry
+from plumcalc.digit_core import carry, wedge
 from plumcalc.digit_string import DigitString, normalize, parse, segment
 from plumcalc.trace import render_mul
 from strategies import numerals
@@ -356,6 +356,50 @@ def test_wedge_columns_sampled_across_width_two_to_four(size, monkeypatch):
             columns = cross_mul._wedge_columns(xs, ys)
             assert len(columns) == 2 * size
             assert [columns[k] for k in sampled] == expected, path
+
+
+def max_plus_path(p: int, pick) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """``pick`` (``max`` or ``min``) of ``sum(pick_c (d[i-1], d[i]) ⋈ c for i in 1..p)`` over digits ``d[0..p]``.
+
+    A wedge column of ``p`` terms sums ``p`` overlapping windows of the
+    multiplicand, each against its own multiplier digit, so this max-plus (or
+    min-plus) pass over the windows gives the extremes operands reach.  Returns
+    the extreme, the digits ``d`` and the multiplier digit of each window.
+    """
+    best_c = {(a, b): pick(range(10), key=lambda c: wedge(a, b, c)) for a in range(10) for b in range(10)}
+    window = {ab: wedge(*ab, c) for ab, c in best_c.items()}
+    totals, back = [0] * 10, []  # the extreme path so far ending on each digit, and each step's predecessors
+    for _ in range(p):
+        before = [pick(range(10), key=lambda a: totals[a] + window[a, b]) for b in range(10)]
+        totals = [totals[a] + window[a, b] for b, a in enumerate(before)]
+        back.append(before)
+    path = [pick(range(10), key=totals.__getitem__)]
+    for before in reversed(back):
+        path.append(before[path[-1]])
+    path.reverse()
+    return pick(totals), tuple(path), tuple(best_c[ab] for ab in zip(path, path[1:]))
+
+
+ATTAINED_WEDGE_EXTREMES = {4: (-23, 39), 14: (-78, 134), 16: (-89, 153)}
+
+
+@pytest.mark.parametrize("p", [4, 10, 11, 14, 15, 16, 2977, 2978])
+def test_wedge_columns_reach_the_attained_extremes(p, monkeypatch):
+    # the slot bound 22*(p+1) steps from one byte to two between p = 10 and 11,
+    # and from two to four between 2977 and 2978; at p = 14 the maximum 134
+    # passes 127, so a one-byte slot there fails
+    extremes = [max_plus_path(p, pick) for pick in (min, max)]
+    low, high = extremes[0][0], extremes[1][0]
+    if p in ATTAINED_WEDGE_EXTREMES:
+        assert (low, high) == ATTAINED_WEDGE_EXTREMES[p]
+    paths = tuple(KERNEL_PATHS) if p < 100 else ("one-point", "two-point")  # pair by pair, 2977² takes seconds
+    for extreme, xs, multipliers in extremes:
+        # column p sums the windows (xs[i-1], xs[i]) against ys[p-i], i = 1..p; min(len(xs), len(ys)) = p
+        ys = multipliers[::-1]
+        for path in kernel_paths(monkeypatch, paths):
+            columns = cross_mul._wedge_columns(xs, ys)
+            assert columns[p] == extreme, path
+            assert low <= min(columns) and max(columns) <= high, path
 
 
 @pytest.mark.parametrize("width", [1, 2, 4, 8, 9])

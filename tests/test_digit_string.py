@@ -214,9 +214,10 @@ def assert_normalize_matches_reference(columns, radix_power):
     assert normalize(s, radix_power) == expected[0]
 
 
-@pytest.mark.parametrize("count", [_LEAF - 1, _LEAF, _LEAF + 1])
+@pytest.mark.parametrize("count", [_LEAF - 1, _LEAF, _LEAF + 1, 36, _PLANE_COLUMNS, _PLANE_COLUMNS + 1])
 def test_normalize_matches_the_reference_loop_around_the_leaf_size(count):
-    # up to _LEAF radix-10 columns are one Horner leaf, beyond it the carry loop or byte planes
+    # up to _BLOCK radix-10 columns are one _horner: one Horner leaf up to _LEAF,
+    # leaves joined by powers of 10 up to _PLANE_COLUMNS (36 is three leaves), one byte-plane leaf beyond
     rng = random.Random(count)
     columns = [rng.randrange(-99, 100) for _ in range(count)]
     # leading columns of ±3 * 10**30 fix the total's sign, small ones may not, and 0 leaves a leading zero column
