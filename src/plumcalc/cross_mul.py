@@ -30,8 +30,9 @@ multiplier digit.  Above ``_BASECASE_PAIRS`` digit pairs the kernel computes
 columns without visiting the pairs one by one: ``_packed_columns`` packs the
 operands one value per fixed-width byte slot into big integers, evaluates the
 columns' polynomial at one or two points (Kronecker substitution, and its
-multipoint form, Harvey, JSC 2009) and reads the columns back by signed
-unpacks.  Slot widths follow from the operand lengths and the largest value a
+multipoint form, Harvey, JSC 2009) and hands the columns over as a view of
+their two's-complement slot bytes, which ``normalize`` and the division chain
+check read by byte planes.  Slot widths follow from the operand lengths and the largest value a
 caller passes (9 for digits), not from a scan of the operands.  At or below
 ``_BASECASE_PAIRS``, the basecase visits each pair once: a cross pair adds
 ``x*y`` to its column, and a wedge pair adds its residue ``x ♣ y`` to column
@@ -53,6 +54,7 @@ from .digit_string import (
     DigitString,
     SignedDigitString,
     _horner,
+    _kernel_signed,
     normalize,
     segment,
 )
@@ -159,24 +161,25 @@ def cross_sum(xs: list[int] | tuple[int, ...], ys: list[int] | tuple[int, ...]) 
 _SIGNED_FORMATS = {1: "b", 2: "h", 4: "i", 8: "q"} if sys.byteorder == "little" else {}
 
 # Kernel calls with at most this many digit pairs (``len(xs) * len(ys)``) take
-# the basecase: packing costs a fixed 3-7 µs of C-level calls, the pair loop
-# about 0.1-0.15 µs a pair.  Process time on Python 3.11, best of 9, µs, packed
-# → basecase: wedge 4×1 4.5 → 1.5, 4×4 6.5 → 2.5, 8×6 7.1 → 6.3, 8×7 7.9 → 7.2,
-# 8×8 7.6 → 8.5, 12×6 7.9 → 9.6; cross 4×1 3.6 → 1.2, 4×4 3.6 → 1.6,
-# 8×6 4.2 → 3.9, 8×7 4.3 → 4.3, 8×8 4.5 → 4.9, 12×6 4.6 → 6.2.  Both kernels
-# cross over between 48 and 64 pairs.
-_BASECASE_PAIRS = 48
+# the basecase, whose pair loop costs 0.1-0.15 µs a pair; packing costs 20-40 µs
+# of C-level calls right after ``gc.collect()``, as perfbench times every call
+# (3-7 µs warm, where both cross over near 64).  Process time on Python 3.11,
+# medians of 101 alternated calls each after ``gc.collect()``, µs, packed →
+# basecase: wedge 8×8 34.2 → 15.9, 12×12 38.6 → 23.1, 16×16 40.4 → 31.0, 24×12
+# 38.2 → 37.1, 24×16 40.7 → 41.9; cross 8×8 24.9 → 12.8, 12×12 24.1 → 16.8,
+# 16×16 25.3 → 22.7, 24×12 25.1 → 24.3, 24×16 25.6 → 28.0.
+_BASECASE_PAIRS = 256
 
 # Kernel calls whose packed products hold more digit pairs than this, counted
 # as ``short**2`` per product for the shorter operand's length ``short``, take
 # two points.  Halving the slots saves a share of each product's time, while
-# the second point's spreading and unpacking cost time in proportion to the
+# the second point's masks and unpacking cost time in proportion to the
 # operands, so the shorter length decides (a 10**4-by-1-digit product only
 # loses) and wedge, with up to ten products a call, pays sooner than cross's
-# one.  Process time on Python 3.11, best of 7-9, µs, one point → two points:
-# wedge 64² 60.9 → 72.7, 96² 99.7 → 104, 112² 117 → 116, 128² 147 → 134,
-# 256² 388 → 316, 10⁴×1 235 → 428; cross 128² 29.4 → 34.1, 256² 63.1 → 63.6,
-# 320² 70.4 → 70.7, 384² 87.6 → 84.7, 1024² 604 → 492.
+# one.  As above, µs, one point → two points: wedge 64² 50.5 → 53.5, 80² 57.4
+# → 57.8, 88² 60.4 → 59.1, 96² 62.5 → 58.5, 104² 64.9 → 64.8, 10⁴×1 238 → 364;
+# cross 224² 39.4 → 39.8, 256² 43.0 → 44.7, 320² 50.2 → 48.8, 352² 54.2 → 50.9:
+# within a few percent of even up to the switch at 110 and 347 digits.
 _TWO_POINT_PAIRS = 120_000
 
 # ``_CARRY_BYTES[d]`` maps a digit byte x to J(x ♣ d); ``_INDICATOR_BYTES[d]``
@@ -209,46 +212,25 @@ def _slots(values: Sequence[int], width: int, top: int) -> bytes | bytearray:
     return spread
 
 
-def _odd_slots(spread: bytes | bytearray, width: int) -> bytearray:
-    """``spread`` with its even slots zeroed: ``f(-β) = f(β) - 2*odd(β)`` for ``β = 2**(8*width)``."""
-    odd = bytearray(len(spread))
-    for byte in range(width, 2 * width):
-        odd[byte :: 2 * width] = spread[byte :: 2 * width]
-    return odd
-
-
-def _at_points(
-    spread_x: bytes | bytearray, odd_x: bytes | bytearray, spread_y: bytes | bytearray, odd_y: bytes | bytearray
-) -> tuple[int, int]:
-    """The product of two packed operands at ``β``, and at ``-β`` from their odd slots (0 when those are empty)."""
-    x, y = int.from_bytes(spread_x, "little"), int.from_bytes(spread_y, "little")
-    if not odd_x:
-        return x * y, 0
-    return x * y, (x - 2 * int.from_bytes(odd_x, "little")) * (y - 2 * int.from_bytes(odd_y, "little"))
-
-
 @lru_cache(maxsize=32)
-def _half_slots(count: int, width: int) -> int:
-    """``2**(8*width-1)`` in each of ``count`` slots of ``width`` bytes."""
-    return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+def _repeated(unit: bytes, count: int) -> int:
+    """The little-endian integer of ``count`` copies of ``unit``: a mask or an offset for every slot."""
+    return int.from_bytes(unit * count, "little")
 
 
-def _unslot(packed: int, count: int, width: int) -> list[int]:
-    """The ``count`` signed slots of ``packed``, each in ``[-2**(8*width-1), 2**(8*width-1))``.
+def _unslot(packed: int, count: int, width: int) -> bytes:
+    """The ``count`` signed slots of ``packed``, each in ``[-2**(8*width-1), 2**(8*width-1))``, in two's complement.
 
     Half a slot added to every slot makes each one non-negative, so no borrow
     crosses a slot; xor-ing the half back leaves every slot in two's complement.
     """
-    half = _half_slots(count, width)
-    raw = ((packed + half) ^ half).to_bytes(count * width, "little")
-    if width in _SIGNED_FORMATS:
-        return memoryview(raw).cast(_SIGNED_FORMATS[width]).tolist()
-    return [int.from_bytes(raw[i : i + width], "little", signed=True) for i in range(0, len(raw), width)]
+    half = _repeated(bytes(width - 1) + b"\x80", count)  # 2**(8*width-1) in every slot
+    return ((packed + half) ^ half).to_bytes(count * width, "little")
 
 
 def _packed_columns(
     xs: Sequence[int], ys: Sequence[int], top: int, bound: int, digits: Sequence[int] | None = None
-) -> list[int]:
+) -> memoryview | list[int]:
     """Columns of ``h = P``, or with the wedge carry ``digits`` of ``h = z*(P - 10*C) + C``, packed.
 
     ``xs`` and ``ys`` hold values in ``0..top``, and ``bound`` is at least twice
@@ -256,45 +238,49 @@ def _packed_columns(
     the slots only have to hold the columns.  Up to ``_TWO_POINT_PAIRS`` digit
     pairs (``short**2`` per product; 1 product for ``P`` and one per carry
     digit) every column is a slot of ``h(β)``, ``β = 2**(8*width)``.  Past it,
-    slots of half the width give ``h(β)`` and ``h(-β)``: ``(h(β) + h(-β)) / 2``
-    holds the even columns and ``(h(β) - h(-β)) / (2*β)`` the odd ones, each in
-    slots of the full width.
+    slots of half the width give ``h(β)`` and ``h(-β)`` (``x(-β)`` is ``x(β)``
+    less twice its odd slots): ``(h(β) + h(-β)) / 2`` holds the even columns and
+    ``(h(β) - h(-β)) / (2*β)`` the odd ones, interleaved at the full width.  The
+    columns are a writable signed view of their two's-complement slot bytes.
     """
-    short = min(len(xs), len(ys))
     count = len(xs) + len(ys) - (digits is None)
     width = _slot_width(bound)
-    two_points = short * short * (1 + len(digits or ())) > _TWO_POINT_PAIRS
+    two_points = min(len(xs), len(ys)) ** 2 * (1 + len(digits or ())) > _TWO_POINT_PAIRS
     if two_points:
         width = (width + 1) // 2
+        odd_slot = bytes(width) + b"\xff" * width  # every bit of the second of two slots
+        mask_x, mask_y = _repeated(odd_slot, len(xs) // 2), _repeated(odd_slot, len(ys) // 2)
     spread_x, spread_y = _slots(xs, width, top), _slots(ys, width, top)
-    odd_x = odd_y = b""
-    if two_points:
-        odd_x, odd_y = _odd_slots(spread_x, width), _odd_slots(spread_y, width)
-    plus, minus = _at_points(spread_x, odd_x, spread_y, odd_y)
+    operands = [(spread_x, spread_y)]  # P, then one carry product per digit
+    operands += [(spread_x.translate(_CARRY_BYTES[d]), spread_y.translate(_INDICATOR_BYTES[d])) for d in digits or ()]
+    at_plus, at_minus = [], []
+    for left, right in operands:
+        x, y = int.from_bytes(left, "little"), int.from_bytes(right, "little")
+        at_plus.append(x * y)
+        if two_points:  # an operand at -β is its value at β less twice its odd slots
+            at_minus.append((x - ((x & mask_x) << 1)) * (y - ((y & mask_y) << 1)))
+    plus, minus = at_plus[0], at_minus[0] if two_points else 0
     if digits is not None:
-        carries_plus = carries_minus = 0
-        for d in digits:
-            carry_bytes, indicator_bytes = _CARRY_BYTES[d], _INDICATOR_BYTES[d]
-            carry_plus, carry_minus = _at_points(
-                spread_x.translate(carry_bytes),
-                odd_x.translate(carry_bytes),
-                spread_y.translate(indicator_bytes),
-                odd_y.translate(indicator_bytes),
-            )
-            carries_plus += carry_plus
-            carries_minus += carry_minus
+        carry_plus, carry_minus = sum(at_plus[1:]), sum(at_minus[1:])
         # z*(P - 10*C) + C at z = β and at z = -β
-        plus = ((plus - 10 * carries_plus) << 8 * width) + carries_plus
-        minus = carries_minus - ((minus - 10 * carries_minus) << 8 * width)
-    if not two_points:
-        return _unslot(plus, count, width)
-    columns = [0] * count
-    columns[::2] = _unslot((plus + minus) >> 1, (count + 1) // 2, 2 * width)
-    columns[1::2] = _unslot((plus - minus) >> (8 * width + 1), count // 2, 2 * width)
-    return columns
+        plus = ((plus - 10 * carry_plus) << 8 * width) + carry_plus
+        minus = carry_minus - ((minus - 10 * carry_minus) << 8 * width)
+    if two_points:
+        even = _unslot((plus + minus) >> 1, (count + 1) // 2, 2 * width)
+        odd = _unslot((plus - minus) >> (8 * width + 1), count // 2, 2 * width)
+        width *= 2
+        raw = bytearray(count * width)
+        for byte in range(width):
+            raw[byte :: 2 * width] = even[byte::width]
+            raw[width + byte :: 2 * width] = odd[byte::width]
+    else:
+        raw = bytearray(_unslot(plus, count, width))
+    if width in _SIGNED_FORMATS:  # a writable view, or a list where no native format has the width
+        return memoryview(raw).cast(_SIGNED_FORMATS[width])
+    return [int.from_bytes(raw[i : i + width], "little", signed=True) for i in range(0, len(raw), width)]
 
 
-def _convolve(xs: Sequence[int], ys: Sequence[int], top: int) -> list[int]:
+def _convolve(xs: Sequence[int], ys: Sequence[int], top: int) -> Sequence[int]:
     """``sum(xs[i]*ys[j] for i+j == k)`` for every ``k``, of values in ``0..top``, packed past the basecase."""
     if len(xs) * len(ys) <= _BASECASE_PAIRS:
         columns = [0] * (len(xs) + len(ys) - 1)
@@ -305,7 +291,7 @@ def _convolve(xs: Sequence[int], ys: Sequence[int], top: int) -> list[int]:
     return _packed_columns(xs, ys, top, 2 * top * top * min(len(xs), len(ys)))
 
 
-def _wedge_columns(xs: tuple[int, ...], ys: tuple[int, ...]) -> list[int]:
+def _wedge_columns(xs: tuple[int, ...], ys: tuple[int, ...]) -> Sequence[int]:
     """Wedge columns ``P[k-1] - 10*C[k-1] + C[k]`` for ``k`` in ``0..m+n-1``.
 
     ``C`` sums, per distinct non-zero digit ``d`` of ``ys``, the carries of
@@ -326,7 +312,7 @@ def _wedge_columns(xs: tuple[int, ...], ys: tuple[int, ...]) -> list[int]:
     return _packed_columns(xs, ys, 9, 22 * (min(len(xs), len(ys)) + 1), digits)
 
 
-def _plum_columns(xs: tuple[int, ...], ys: tuple[int, ...]) -> list[int]:
+def _plum_columns(xs: tuple[int, ...], ys: tuple[int, ...]) -> Sequence[int]:
     """Wedge columns one place lower, with the whole leading and split trailing products."""
     if len(xs) == len(ys) == 1:
         return [xs[0] * ys[0]]
@@ -347,8 +333,8 @@ def _cross_operands(a: DigitString, b: DigitString, seg_len: int) -> tuple[tuple
     return (sa, sb) if len(sa) >= len(sb) else (sb, sa)
 
 
-def _columns(method: str, a: DigitString, b: DigitString, radix_power: int) -> list[int]:
-    """Signed columns of ``method`` (``cross`` in radix ``10**radix_power``); a single 0 when a factor is zero."""
+def _columns(method: str, a: DigitString, b: DigitString, radix_power: int) -> Sequence[int]:
+    """Signed columns of ``method`` (``cross`` in radix ``10**radix_power``): a list, or a packed kernel's view."""
     if a.is_zero or b.is_zero:
         return [0]
     if method == "cross":
@@ -360,7 +346,7 @@ def _columns(method: str, a: DigitString, b: DigitString, radix_power: int) -> l
 
 def _multiply(method: str, a: DigitString, b: DigitString, radix_power: int = 1) -> tuple[DigitString, MulTrace]:
     """The one path of every multiplication: columns, then ``normalize``, then the trace."""
-    signed = SignedDigitString(tuple(_columns(method, a, b, radix_power)))
+    signed = _kernel_signed(_columns(method, a, b, radix_power))
     product = normalize(signed, radix_power)
     return product, MulTrace(method, a, b, radix_power, signed, product)
 

@@ -10,11 +10,11 @@ This module is the package's one radix-conversion layer, and no step of it is
 quadratic in Python operations.  Signed columns in any radix (:func:`_horner`)
 are evaluated in leaves of ``_LEAF`` values and the leaves joined pairwise by
 cached powers ``radix**(_LEAF * 2**j)``.  Past ``_PLANE_COLUMNS``, radix-10
-columns are read in leaves of up to ``_BLOCK`` with no Python step per column
-(:func:`_plane_value`): packed once as two's-complement integers, each byte
-plane is read as decimal numerals by ``int``.  :func:`normalize` reads up to
-``_BLOCK`` radix-10 columns by one :func:`_horner`, and longer ones in such
-blocks from the least significant end, passing the carry up by one division
+columns are read with no Python step per column (:func:`_plane_value`): as
+two's-complement slots, a column kernel's own or packed once here, each byte
+plane read as decimal numerals by ``int``.  :func:`normalize` reads up to
+``_BLOCK`` radix-10 columns as one value, and longer ones in blocks of
+``_BLOCK`` from the least significant end, passing the carry up by one division
 by ``10**_BLOCK`` per block.  Digits and ``int`` meet through decimal text
 (:func:`_text_value`, :func:`_decimal_text`): blocks of at most ``_BLOCK``
 digits go through ``int``/``str`` and are joined or split by cached powers
@@ -86,54 +86,60 @@ def _repunit(count: int) -> int:
     return (10**count - 1) // 9
 
 
-def _plane_value(values: Sequence[int]) -> int:
-    """Value of at most ``_BLOCK`` radix-10 ``values`` (any sign), with no Python step per value.
-
-    The values are packed once as two's-complement integers of the narrowest
-    width that holds them all.  Byte ``j`` of every value forms plane ``j``,
-    whose radix-10 value is read as three numerals, its hundreds, tens and ones
-    digits, so ``int`` sees at most ``_BLOCK`` digits.  The top plane is read
-    with its sign bit flipped, which adds ``2**(8*width - 1)`` to every value;
-    ``int("1" * count)`` times that is taken off again.  Values beyond 64 bits
-    take the Horner loop.
-    """
+def _pack(values: Sequence[int]) -> tuple[bytes, int] | None:
+    """``values`` as two's-complement slots of the narrowest of 2, 4 or 8 bytes, and that width; None past 64 bits."""
     for code in "hiq":
         try:
             raw = _packer(code, len(values)).pack(*values)
         except struct.error:
             continue
-        width = len(raw) // len(values)
-        total = -_repunit(len(values)) << 8 * width - 1
-        for j in range(width):  # least significant byte first
-            plane = raw[j::width]
-            hundreds, tens, units = _TOP_PLACES if j == width - 1 else _BYTE_PLACES
-            value = 100 * int(plane.translate(hundreds)) + 10 * int(plane.translate(tens)) + int(plane.translate(units))
-            total += value << 8 * j
-        return total
-    total = 0
-    for v in values:
-        total = total * 10 + v
+        return raw, len(raw) // len(values)
+    return None
+
+
+def _plane_value(raw: bytes, width: int) -> int:
+    """Value of the radix-10 two's-complement slots of ``raw``, ``width`` bytes each, most significant first.
+
+    Byte ``j`` of every slot forms plane ``j``, read as three numerals of its
+    hundreds, tens and ones digits.  The top plane is read with its sign bit
+    flipped, which adds ``2**(8*width - 1)`` to every slot, taken off again as
+    ``int("1" * count)`` times that, unless it is all zero: then it is skipped
+    and the planes below read unsigned.  Parts of ``_BLOCK * 2**j`` slots are
+    joined by a cached power of 10, so ``int`` sees at most ``_BLOCK`` digits.
+    """
+    count = len(raw) // width
+    if count > _BLOCK:
+        low = _split(count, _BLOCK)
+        cut = (count - low) * width
+        return _plane_value(raw[:cut], width) * _power(10, low) + _plane_value(raw[cut:], width)
+    top = raw[width - 1 :: width]
+    signed = bool(top.lstrip(b"\0"))
+    total = -_repunit(count) << 8 * width - 1 if signed else 0
+    for j in range(width if signed else width - 1):  # least significant byte first
+        plane, (hundreds, tens, units) = (top, _TOP_PLACES) if j == width - 1 else (raw[j::width], _BYTE_PLACES)
+        value = 100 * int(plane.translate(hundreds)) + 10 * int(plane.translate(tens)) + int(plane.translate(units))
+        total += value << 8 * j
     return total
 
 
 def _horner(values: Sequence[int], radix: int) -> int:
     """Value of ``values`` (any sign) read most significant first as digits in ``radix``.
 
-    Up to ``_LEAF`` values are one Horner loop, and more than
-    ``_PLANE_COLUMNS`` radix-10 values, up to ``_BLOCK``, one ``_plane_value``.
-    Longer sequences are split into a high part and a low part of
-    ``leaf * 2**j`` values (``leaf`` being ``_BLOCK`` for those radix-10
-    values, ``_LEAF`` otherwise), joined by a cached power of ``radix``.
+    Up to ``_LEAF`` values, and up to ``_PLANE_COLUMNS`` radix-10 values, are
+    one Horner loop.  More radix-10 values are packed once and read by
+    ``_plane_value``.  Longer sequences in other radices, and radix-10 values
+    past 64 bits, are split into a high part and a low part of
+    ``_LEAF * 2**j`` values, joined by a cached power of ``radix``.
     """
-    if len(values) <= _LEAF:
+    if len(values) <= _LEAF or radix == 10 and len(values) <= _PLANE_COLUMNS:
         total = 0
         for v in values:
             total = total * radix + v
         return total
-    leaf = _BLOCK if radix == 10 and len(values) > _PLANE_COLUMNS else _LEAF
-    if len(values) <= leaf:
-        return _plane_value(values)
-    low = _split(len(values), leaf)
+    packed = radix == 10 and _pack(values)
+    if packed:
+        return _plane_value(*packed)
+    low = _split(len(values), _LEAF)
     return _horner(values[:-low], radix) * _power(radix, low) + _horner(values[-low:], radix)
 
 
@@ -231,6 +237,7 @@ class SignedDigitString:
     """Column sequence with weight ``10**(len-1-i)`` per column, carries unresolved."""
 
     columns: tuple[int, ...]
+    _packed = None  # a column kernel's slot bytes and width, which ``normalize`` reads; not a field
 
     def __init__(self, columns: tuple[int, ...]) -> None:
         # stored straight into the instance dict: the generated __init__ of a
@@ -239,7 +246,8 @@ class SignedDigitString:
 
     def value(self) -> int:
         """The columns read in radix 10; columns in another radix, as on a segment trace, give another number."""
-        return _horner(self.columns, 10)
+        packed = len(self.columns) > _PLANE_COLUMNS and self._packed
+        return _plane_value(*packed) if packed else _horner(self.columns, 10)
 
     def __len__(self) -> int:
         return len(self.columns)
@@ -327,31 +335,42 @@ def normalize_stats(s: SignedDigitString, radix_power: int = 1) -> tuple[DigitSt
     return _valid_by_construction(tuple(digits.lstrip(b"\0") or b"\0")), carries
 
 
+def _kernel_signed(columns: Sequence[int]) -> SignedDigitString:
+    """A column kernel's columns as a :class:`SignedDigitString`; a memoryview's slot bytes go with them."""
+    s = SignedDigitString(tuple(columns.tolist() if type(columns) is memoryview else columns))
+    if type(columns) is memoryview:
+        s.__dict__["_packed"] = columns.tobytes(), columns.itemsize
+    return s
+
+
 def normalize(s: SignedDigitString, radix_power: int = 1) -> DigitString:
     """Value-preserving conversion of a signed column sequence to canonical digits.
 
     Columns in radix ``10**radix_power`` take ``normalize_stats``' carry loop.
-    Up to ``_BLOCK`` radix-10 columns are one ``_horner`` whose value is
-    written out by ``_decimal_digits``.  Longer ones are read in blocks of
-    ``_BLOCK`` from the least significant end, each by one ``_plane_value``: a
-    block's value plus the carry from the block below is split by
+    Past ``_PLANE_COLUMNS``, radix-10 columns are read by ``_plane_value`` from
+    the kernel's slot bytes that ``s`` carries, or else packed once; up to
+    ``_BLOCK`` columns their value is written out by ``_decimal_digits``.
+    Longer ones are read in blocks of ``_BLOCK`` from the least significant end:
+    a block's value plus the carry from the block below is split by
     ``10**_BLOCK`` into its digits and the carry passed up, so the work stays
     linear in the column count.
     """
     if radix_power != 1:
         return normalize_stats(s, radix_power)[0]
-    columns = s.columns
-    if len(columns) <= _BLOCK:
-        total = _horner(columns, 10)
+    packed = len(s.columns) > _BLOCK and (s._packed or _pack(s.columns))
+    if not packed:  # up to _BLOCK columns, or columns past 64 bits
+        total = s.value()
         if total < 0:
             raise ValueError("signed digit string has negative total value")
         return _valid_by_construction(tuple(_decimal_digits(total)))
+    raw, width = packed
+    size = _BLOCK * width  # bytes per block
     blocks = []  # least significant first
     carry = 0
-    for end in range(len(columns), _BLOCK, -_BLOCK):
-        carry, block = builtins.divmod(_plane_value(columns[end - _BLOCK : end]) + carry, _BLOCK_LIMIT)
+    for end in range(len(raw), size, -size):
+        carry, block = builtins.divmod(_plane_value(raw[end - size : end], width) + carry, _BLOCK_LIMIT)
         blocks.append(str(block).zfill(_BLOCK))
-    total = _plane_value(columns[: len(columns) - _BLOCK * len(blocks)]) + carry
+    total = _plane_value(raw[: len(raw) - size * len(blocks)], width) + carry
     if total < 0:
         raise ValueError("signed digit string has negative total value")
     blocks.append(_decimal_text(total))

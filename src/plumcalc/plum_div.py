@@ -54,10 +54,11 @@ from .cross_mul import Term, _diagonal_terms, _wedge_columns
 from .digit_core import carry
 from .digit_string import (
     DigitString,
+    SignedDigitString,
     _decimal_digits,
     _decimal_text,
     _has_stray_digit,
-    _horner,
+    _kernel_signed,
     _valid_by_construction,
 )
 
@@ -181,16 +182,16 @@ class DivisionTrace:
 
         By linearity this is ``_horner(W) + b[1] * q * 10**(t-1)``: the ``b[1]*c[n]``
         parts of the ``PP_n`` sum to ``b[1]`` times the quotient, whose last digit
-        ``c[s-t+1]`` has weight ``10**(t-1)``.  It is evaluated once per trace;
-        ``W`` of more than ``digit_string._PLANE_COLUMNS`` columns is read by byte
-        planes in blocks of 512, with no Python step per column.
+        ``c[s-t+1]`` has weight ``10**(t-1)``.  ``divmod`` evaluates it once, from
+        its ``int`` quotient and the kernel's output: more than ``_PLANE_COLUMNS``
+        columns by byte planes of the kernel's slot bytes, with no step per column.
         """
         return self._reconstruction
 
     @cached_property
-    def _reconstruction(self) -> int:
+    def _reconstruction(self) -> int:  # divmod sets it as it checks the chain; read here on a trace built otherwise
         b = self.divisor.digits
-        return _horner(self._columns, 10) + b[0] * int(self.quotient) * 10 ** (len(b) - 1)
+        return SignedDigitString(self._columns).value() + b[0] * int(self.quotient) * 10 ** (len(b) - 1)
 
 
 def _check_step(c_so_far: Sequence[int], n: int) -> None:
@@ -251,10 +252,12 @@ def divmod(a: DigitString, b: DigitString, method: str = "plum") -> tuple[DigitS
         quotient = _valid_by_construction((0,))
         return quotient, a, DivisionTrace(method, a, b, quotient, (), a, ())
     c = tuple(_decimal_digits(q, s - t + 1))
-    columns = tuple(_wedge_columns(b.digits[1:], c)) if t > 1 else (0,) * s
+    columns = _kernel_signed(_wedge_columns(b.digits[1:], c) if t > 1 else (0,) * s)
     # a >= 10**(s-1) and b < 10**t, so q has at least s - t digits: c has at most one leading zero
     quotient = _valid_by_construction(c[1:] if c[0] == 0 else c)
-    trace = DivisionTrace(method, a, b, quotient, c, DigitString.from_int(r), columns)
+    trace = DivisionTrace(method, a, b, quotient, c, DigitString.from_int(r), columns.columns)
+    # pp_reconstruction() from the kernel's slot bytes, when it packed them, and from q, not the quotient's digits
+    trace.__dict__["_reconstruction"] = columns.value() + b.digits[0] * q * 10 ** (t - 1)
     chain = dividend - trace.pp_reconstruction()
     if chain != r:
         raise RuntimeError(

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 from int_limits import int_digit_limit
-from plumcalc import cli, equivalence, plum_div
+from plumcalc import cli, cross_mul, equivalence, plum_div
 from plumcalc.bench import BENCH_METHODS
 from plumcalc.cli import MAX_BENCH_SIZE, MAX_DECIMALS, MAX_LIMIT, MAX_SEGMENT, main
 from plumcalc.cross_mul import MUL_METHODS, plum_mul
@@ -190,13 +190,15 @@ def test_error_exits_pinned(capsys, monkeypatch):
     wedge_columns = plum_div._wedge_columns
 
     def last_column_one_high(xs, ys):
-        columns = wedge_columns(xs, ys)
+        columns = wedge_columns(xs, ys)  # a list pair by pair, a view of the slot bytes when packed
         columns[-1] += 1
         return columns
 
     monkeypatch.setattr(plum_div, "_wedge_columns", last_column_one_high)
     message = "plum division of 56789 by 369: partial remainder chain diverged: 331 vs 332"
-    assert run(capsys, "div", "56789", "369") == (2, "", f"plumcalc: error: {message}\n")
+    for basecase in (cross_mul._BASECASE_PAIRS, 0):
+        monkeypatch.setattr(cross_mul, "_BASECASE_PAIRS", basecase)
+        assert run(capsys, "div", "56789", "369") == (2, "", f"plumcalc: error: {message}\n")
 
 
 def test_div_by_zero_exits_2(capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -20,7 +21,16 @@ from plumcalc.cross_mul import (
     wedge_mul_single,
 )
 from plumcalc.digit_core import carry, wedge
-from plumcalc.digit_string import DigitString, normalize, parse, segment
+from plumcalc.digit_string import (
+    DigitString,
+    SignedDigitString,
+    _kernel_signed,
+    _plane_value,
+    normalize,
+    normalize_stats,
+    parse,
+    segment,
+)
 from plumcalc.trace import render_mul
 from strategies import numerals
 
@@ -342,7 +352,7 @@ def test_wedge_columns_every_column_up_to_40_digits(monkeypatch):
                 cases.append((xs, ys, [direct_wedge_column(xs, ys, k) for k in range(m + n)]))
     for _ in kernel_paths(monkeypatch):
         for xs, ys, expected in cases:
-            assert cross_mul._wedge_columns(xs, ys) == expected, (xs, ys)
+            assert list(cross_mul._wedge_columns(xs, ys)) == expected, (xs, ys)
 
 
 @pytest.mark.parametrize("size", [2977, 2978, 2979])
@@ -404,10 +414,24 @@ def test_wedge_columns_reach_the_attained_extremes(p, monkeypatch):
 
 @pytest.mark.parametrize("width", [1, 2, 4, 8, 9])
 def test_unslot_reads_extreme_signed_slots(width):
+    # the slot bytes are what the column view, normalize and the division chain
+    # check all read: the view casts them, byte planes read them at every width
     low, high = -(2 ** (8 * width - 1)), 2 ** (8 * width - 1) - 1
     values = [low, high, -1, 0, 1, high, low, low + 1, high - 1, -1, low]
     packed = sum(v << (8 * width * k) for k, v in enumerate(values))
-    assert cross_mul._unslot(packed, len(values), width) == values
+    raw = cross_mul._unslot(packed, len(values), width)
+    assert raw == b"".join(v.to_bytes(width, "little", signed=True) for v in values)
+    assert _plane_value(raw, width) == decimal_value(values)
+    if width in cross_mul._SIGNED_FORMATS:
+        assert memoryview(raw).cast(cross_mul._SIGNED_FORMATS[width]).tolist() == values
+
+
+def decimal_value(columns) -> int:
+    """``columns`` read in radix 10 by the plain loop."""
+    total = 0
+    for column in columns:
+        total = total * 10 + column
+    return total
 
 
 def all_columns(a: DigitString, b: DigitString):
@@ -445,6 +469,66 @@ def test_basecase_matches_packed_kernel(monkeypatch):
     operands = [(ds(x), ds(y)) for x, y in KERNEL_OPERANDS]
     basecase, *packed = ([all_columns(a, b) for a, b in operands] for _ in kernel_paths(monkeypatch))
     assert packed == [basecase, basecase]
+
+
+def kernel_outputs(a: DigitString, b: DigitString, monkeypatch):
+    """``(radix_power, output)`` of every kernel call of multiplying ``a`` by ``b``, and of dividing ``a*b + 1`` by ``b``.
+
+    The division's kernel output is the one its trace and chain check read;
+    each division's trace is checked here too.
+    """
+    outputs = [(1, cross_mul._columns(method, a, b, 1)) for method in ("cross", "plum", "wedge")]
+    outputs += [(length, cross_mul._columns("cross", a, b, length)) for length in (2, 3, 7)]
+    outputs.append((1, cross_mul._columns("wedge_single", a, DigitString((b[0],)), 1)))
+    kernel = plum_div._wedge_columns
+    divisions = []
+    monkeypatch.setattr(plum_div, "_wedge_columns", lambda xs, ys: divisions.append(kernel(xs, ys)) or divisions[-1])
+    dividend = ds(int(wedge_mul(a, b)[0]) + 1)
+    for method in plum_div.DIV_METHODS:
+        q, _, trace = plum_div.divmod(dividend, b, method)
+        assert trace.pp_reconstruction() == dataclasses.replace(trace).pp_reconstruction() == int(b) * int(q)
+        if len(b) > 1:  # a one-digit divisor's kernel columns are all zero, and no kernel is called
+            assert trace._columns == tuple(divisions[-1])
+            outputs.append((1, divisions[-1]))
+    monkeypatch.setattr(plum_div, "_wedge_columns", kernel)
+    return outputs
+
+
+# slot widths either side of each step: wedge and plum 1 -> 2 bytes between
+# 10 and 11 digits and 2 -> 4 between 2977 and 2978, cross 1 -> 2 between 1 and
+# 2 and 2 -> 4 between 404 and 405, whose 4-byte slots have a zero top byte
+HANDED_OVER_SIZES = [(1, 1), (2, 2), (10, 10), (11, 11), (10, 300), (404, 404), (405, 405), (2977, 2977), (2978, 2978)]
+
+
+@pytest.mark.parametrize("sizes", HANDED_OVER_SIZES, ids=[f"{m}x{n}" for m, n in HANDED_OVER_SIZES])
+def test_handed_over_bytes_columns_and_normalize_agree(sizes, monkeypatch):
+    # the kernel's view, the column tuple cast from it, the slot bytes
+    # normalize and the division chain check read, normalize of the bare
+    # columns and normalize_stats all agree, on every path; plum's end
+    # corrections are written into the slot bytes, so plum checks them too
+    rng = random.Random(sum(sizes))
+    m, n = sizes
+    a, b = (parse(str(rng.randint(1, 9)) + "".join(rng.choices("0123456789", k=k - 1))) for k in (m, n))
+    paths = tuple(KERNEL_PATHS) if m * n < 10**4 else ("one-point", "two-point")
+    packed_widths = set()
+    for path in kernel_paths(monkeypatch, paths):
+        for radix_power, output in kernel_outputs(a, b, monkeypatch):
+            signed = _kernel_signed(output)
+            assert signed.columns == tuple(output), path
+            if type(output) is memoryview:
+                packed_widths.add(output.itemsize)
+                assert signed._packed == (output.tobytes(), output.itemsize), path
+                assert _plane_value(*signed._packed) == decimal_value(signed.columns), path
+            else:
+                assert signed._packed is None, path
+            bare = SignedDigitString(signed.columns)
+            expected = normalize_stats(bare, radix_power)[0]
+            assert normalize(signed, radix_power) == normalize(bare, radix_power) == expected, path
+            if radix_power == 1:
+                assert signed.value() == bare.value() == int(expected), path
+    assert packed_widths, "no kernel call was packed"
+    if sizes == (10, 10):
+        assert 1 in packed_widths  # a one-byte one-point slot
 
 
 @pytest.mark.parametrize(
@@ -490,7 +574,8 @@ def test_basecase_and_packed_columns_agree(monkeypatch, shape):
     top = 10**seg_len - 1
     columns = []
     for _ in kernel_paths(monkeypatch):
-        columns.append((cross_mul._convolve(xs, ys, top), cross_mul._wedge_columns(xs, ys) if seg_len == 1 else None))
+        wedge_columns = list(cross_mul._wedge_columns(xs, ys)) if seg_len == 1 else None
+        columns.append((list(cross_mul._convolve(xs, ys, top)), wedge_columns))
     assert columns[0] == columns[1] == columns[2]
 
 

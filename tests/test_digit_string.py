@@ -21,6 +21,8 @@ from plumcalc.digit_string import (
     _decimal_digits,
     _decimal_text,
     _horner,
+    _pack,
+    _plane_value,
     normalize,
     normalize_stats,
     parse,
@@ -332,6 +334,27 @@ def test_byte_planes_match_the_loops_at_every_packing_width(count, extreme):
         assert_planes_match_the_loops([0] * (count - 1) + [-1])
         assert_planes_match_the_loops([1] + [-9] * (count - 1))
         assert_planes_match_the_loops([0] * count)
+
+
+@pytest.mark.parametrize("count", PLANE_LENGTHS)
+def test_byte_planes_skip_an_all_zero_top_plane(count):
+    # columns that need 3 bytes pack into 4 with an all-zero top plane, which is
+    # skipped and the planes below it read unsigned, with no repunit offset
+    rng = random.Random(count)
+    columns = [rng.randrange(2**23) for _ in range(count)]
+    columns[rng.randrange(count)] = 2**23 - 1
+    raw, width = _pack(columns)
+    assert width == 4 and not raw[3::4].strip(b"\0")
+    assert _plane_value(raw, width) == horner_reference(columns, 10)
+    with int_digit_limit(640):
+        assert_planes_match_the_loops(columns)
+        assert_planes_match_the_loops([0] * (count - 1) + [2**16])
+        # a negative column fills the top plane again; a negative total still raises
+        assert_planes_match_the_loops([-1, *columns[1:]])
+        with pytest.raises(ValueError, match=r"^signed digit string has negative total value$"):
+            normalize(SignedDigitString((-(10**8), *columns[1:])))
+        # and so does one column that needs all 4 bytes
+        assert_planes_match_the_loops([*columns[:-1], 2**31 - 1])
 
 
 @pytest.mark.parametrize("length", EDGE_LENGTHS)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from int_limits import int_digit_limit
-from plumcalc import plum_div
+from plumcalc import cross_mul, plum_div
 from plumcalc.digit_string import DigitString, parse
 from plumcalc.plum_div import div_decimal, pp0_plum, pp0_wedge, pp1
 from strategies import numerals
@@ -309,22 +309,28 @@ def test_divmod_builds_no_terms(monkeypatch):
 
 def test_divergence_error_names_method_and_operands(monkeypatch):
     real_columns = plum_div._wedge_columns
+    outputs = []
 
     def off_by_one(xs, ys):
+        # in place: the kernel's one output, whose slot bytes the chain check reads when it packed them
         columns = real_columns(xs, ys)
         columns[1] += 1
+        outputs.append(type(columns))
         return columns
 
     monkeypatch.setattr(plum_div, "_wedge_columns", off_by_one)
-    for method in plum_div.DIV_METHODS:
-        with pytest.raises(RuntimeError, match=f"^{method} division of 56789 by 369: partial remainder chain diverged"):
-            plum_div.divmod(ds(56789), ds(369), method)
+    for basecase in (cross_mul._BASECASE_PAIRS, 0):  # 56789 by 369 pair by pair, then packed
+        monkeypatch.setattr(cross_mul, "_BASECASE_PAIRS", basecase)
+        for method in plum_div.DIV_METHODS:
+            with pytest.raises(RuntimeError, match=f"^{method} division of 56789 by 369: partial remainder chain diverged"):
+                plum_div.divmod(ds(56789), ds(369), method)
     # operands and remainders far past the interpreter's int/str limit still give the message
     rng = random.Random(12)
     a = "".join(rng.choice("123456789") for _ in range(10**4))
     b = "".join(rng.choice("123456789") for _ in range(5 * 10**3))
     with pytest.raises(RuntimeError) as excinfo, int_digit_limit(4300):
         plum_div.divmod(parse(a), parse(b), "plum")
+    assert outputs == [list, list, memoryview, memoryview, memoryview]
     message = str(excinfo.value)
     assert message.startswith(f"plum division of {a} by {b}: partial remainder chain diverged: ")
     chain, remainder = message.rsplit(": ", 1)[1].split(" vs ")
