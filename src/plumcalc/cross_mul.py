@@ -143,7 +143,7 @@ class MulTrace:
 
     def column_value(self) -> int:
         """Value of the pre-normalization columns in radix ``10**radix_power``."""
-        return _horner(self.signed.columns, 10**self.radix_power)
+        return self.signed.value() if self.radix_power == 1 else _horner(self.signed.columns, 10**self.radix_power)
 
 
 def cross_sum(xs: list[int] | tuple[int, ...], ys: list[int] | tuple[int, ...]) -> int:
