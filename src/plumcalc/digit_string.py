@@ -337,9 +337,10 @@ def normalize_stats(s: SignedDigitString, radix_power: int = 1) -> tuple[DigitSt
 
 def _kernel_signed(columns: Sequence[int]) -> SignedDigitString:
     """A column kernel's columns as a :class:`SignedDigitString`; a memoryview's slot bytes go with them."""
-    s = SignedDigitString(tuple(columns.tolist() if type(columns) is memoryview else columns))
-    if type(columns) is memoryview:
-        s.__dict__["_packed"] = columns.tobytes(), columns.itemsize
+    if type(columns) is not memoryview:
+        return SignedDigitString(tuple(columns))
+    s = SignedDigitString(tuple(columns.tolist()))
+    s.__dict__["_packed"] = columns.tobytes(), columns.itemsize
     return s
 
 
@@ -357,9 +358,10 @@ def normalize(s: SignedDigitString, radix_power: int = 1) -> DigitString:
     """
     if radix_power != 1:
         return normalize_stats(s, radix_power)[0]
-    packed = len(s.columns) > _BLOCK and (s._packed or _pack(s.columns))
-    if not packed:  # up to _BLOCK columns, or columns past 64 bits
-        total = s.value()
+    columns = s.columns
+    packed = len(columns) > _PLANE_COLUMNS and (s._packed or _pack(columns))
+    if not packed or len(columns) <= _BLOCK:  # short columns, or columns past 64 bits, take _horner
+        total = _plane_value(*packed) if packed else _horner(columns, 10)
         if total < 0:
             raise ValueError("signed digit string has negative total value")
         return _valid_by_construction(tuple(_decimal_digits(total)))
