@@ -8,14 +8,21 @@ plain text with no styling, so NO_COLOR changes nothing.  ``mul --segment``
 is at most ``MAX_SEGMENT``, ``div --decimals`` at most ``MAX_DECIMALS``,
 ``verify --limit`` at most ``MAX_LIMIT`` and each ``bench --sizes`` value at
 most ``MAX_BENCH_SIZE``; larger values exit 1.
+
+``_COMMANDS`` describes the whole command line: each command's handler, help
+line, positionals and options.  One pass over ``argv`` reads it (``--opt
+value``, ``--opt=value``, unique prefixes, ``--``, options anywhere with the
+last repeat winning, ``-h`` or ``--help`` anywhere), and the usage and help
+texts are written from it only when they are printed.  The table is a
+constant, so calls share it unchanged.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
+import re
 import sys
-from typing import Sequence
+from types import SimpleNamespace
+from typing import Any, Callable, NamedTuple, NoReturn, Sequence
 
 from . import bench as bench_mod
 from . import plum_div
@@ -52,94 +59,22 @@ MAX_LIMIT = 10000
 MAX_BENCH_SIZE = 100000
 
 
-class _Parser(argparse.ArgumentParser):
-    """Argument parser whose usage errors exit with code 1."""
-
-    def error(self, message: str) -> None:  # type: ignore[override]
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-
-
-@functools.cache
-def _build_parser() -> _Parser:
-    """The parser every ``main`` call in the process shares.
-
-    Parsing only reads it and returns a new namespace, so every default must
-    be immutable: a list default would be one object handed to every call.
-    """
-    parser = _Parser(prog="plumcalc", description="Plum-blossom product and wedge product arithmetic")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_club = sub.add_parser("club", help="plum-blossom product of two integers")
-    p_club.add_argument("a")
-    p_club.add_argument("b")
-
-    p_carry = sub.add_parser("carry", help="carry J of the plum decomposition of a*b")
-    p_carry.add_argument("a")
-    p_carry.add_argument("b")
-
-    p_wedge = sub.add_parser("wedge", help="wedge product; first argument is the digit pair, e.g. 35 7")
-    p_wedge.add_argument("ab")
-    p_wedge.add_argument("c")
-
-    p_table = sub.add_parser("table", help="print the 10x10 wedge table for a multiplier 1..9")
-    p_table.add_argument("c", type=int)
-    p_table.add_argument("--csv", action="store_true", help="emit a,b,value triples instead")
-    p_table.add_argument("--ascii", action="store_true", help="ASCII-only output")
-
-    p_mul = sub.add_parser("mul", help="multiply two numerals")
-    p_mul.add_argument("a")
-    p_mul.add_argument("b")
-    p_mul.add_argument("--method", choices=(*MUL_METHODS, "oracle"), default="wedge")
-    p_mul.add_argument("--segment", type=int, default=1, metavar="L", help="segment length for --method cross")
-    p_mul.add_argument("--trace", action="store_true", help="print the column trace")
-    p_mul.add_argument("--ascii", action="store_true", help="ASCII-only trace output")
-
-    p_div = sub.add_parser("div", help="divide two numerals")
-    p_div.add_argument("a")
-    p_div.add_argument("b")
-    p_div.add_argument("--method", choices=(*plum_div.DIV_METHODS, "oracle"), default="plum")
-    p_div.add_argument("--decimals", type=int, default=0, metavar="D", help="decimal places in the quotient")
-    p_div.add_argument("--trace", action="store_true", help="print the vertical tableau")
-    p_div.add_argument("--ascii", action="store_true", help="ASCII-only trace output")
-
-    p_verify = sub.add_parser("verify", help="brute-force the law suites")
-    p_verify.add_argument("--suite", choices=VERIFY_SUITES, default="all")
-    p_verify.add_argument(
-        "--limit",
-        type=int,
-        default=DEFAULT_EXHAUSTIVE_LIMIT,
-        help="exhaustive all-pairs bound for the equivalence suites",
-    )
-    p_verify.add_argument("--random-pairs", type=int, default=200, help="random large-operand pairs per equivalence suite")
-
-    p_bench = sub.add_parser("bench", help="run the deterministic micro-benchmark")
-    p_bench.add_argument("--sizes", type=int, nargs="+", default=(4, 8, 16, 32))
-    p_bench.add_argument("--trials", type=int, default=16)
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--methods", nargs="+", choices=bench_mod.BENCH_METHODS, default=bench_mod.BENCH_METHODS)
-    p_bench.add_argument("--csv", metavar="PATH", help="write CSV here instead of standard output")
-
-    return parser
-
-
 def _int_arg(text: str) -> int:
     return int(parse(text))
 
 
-def _cmd_club(args: argparse.Namespace) -> int:
+def _cmd_club(args: SimpleNamespace) -> int:
     print(clubsuit(_int_arg(args.a), _int_arg(args.b)))
     return EXIT_OK
 
 
-def _cmd_carry(args: argparse.Namespace) -> int:
+def _cmd_carry(args: SimpleNamespace) -> int:
     # a carry of non-negative numerals is non-negative and may be operand-sized
     print(DigitString.from_int(carry(_int_arg(args.a), _int_arg(args.b))))
     return EXIT_OK
 
 
-def _cmd_wedge(args: argparse.Namespace) -> int:
+def _cmd_wedge(args: SimpleNamespace) -> int:
     pair = parse(args.ab)
     if len(pair) > 2:
         raise ValueError(f"wedge takes a one- or two-digit pair, got {args.ab!r}")
@@ -151,13 +86,13 @@ def _cmd_wedge(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_table(args: argparse.Namespace) -> int:
+def _cmd_table(args: SimpleNamespace) -> int:
     table = wedge_table(args.c)
     print(table.as_csv() if args.csv else table.as_text(ascii_only=args.ascii))
     return EXIT_OK
 
 
-def _cmd_mul(args: argparse.Namespace) -> int:
+def _cmd_mul(args: SimpleNamespace) -> int:
     a, b = parse(args.a), parse(args.b)
     if args.method != "cross" and args.segment != 1:
         raise ValueError("--segment only applies to --method cross")
@@ -179,7 +114,7 @@ def _cmd_mul(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_div(args: argparse.Namespace) -> int:
+def _cmd_div(args: SimpleNamespace) -> int:
     a, b = parse(args.a), parse(args.b)
     if args.decimals < 0:
         raise ValueError(f"--decimals must be non-negative, got {args.decimals}")
@@ -212,7 +147,7 @@ def _print_reports(reports: list[LawReport]) -> bool:
     return all_hold
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: SimpleNamespace) -> int:
     # smaller values leave a sweep with no cases, which would print PASS having checked nothing
     if args.limit < 2:
         raise ValueError(f"--limit must be at least 2, got {args.limit}")
@@ -232,7 +167,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if ok else EXIT_FAILURE
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
+def _cmd_bench(args: SimpleNamespace) -> int:
     if max(args.sizes) > MAX_BENCH_SIZE:
         raise ValueError(f"--sizes must be at most {MAX_BENCH_SIZE}, got {max(args.sizes)}")
     metrics = bench_mod.run_bench(args.sizes, args.trials, args.seed, args.methods)
@@ -248,26 +183,269 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Option(NamedTuple):
+    """A ``--name`` option: a flag, or one value (with ``many``, one or more) read by ``type``."""
+
+    help: str
+    type: Callable[[str], Any] = str
+    choices: tuple[str, ...] = ()
+    default: Any = None
+    flag: bool = False
+    many: bool = False
+    metavar: str = ""
+
+
+class _Command(NamedTuple):
+    run: Callable[[SimpleNamespace], int]
+    help: str
+    positionals: tuple[tuple[str, Callable[[str], Any]], ...] = ()
+    options: dict[str, _Option] = {}
+
+
+_PAIR = (("a", str), ("b", str))
+_ASCII = _Option("ASCII-only trace output", flag=True)
+
+# The one description of the command line: parsing, usage lines and help all
+# read it, and nothing is built from it per call.
 _COMMANDS = {
-    "club": _cmd_club,
-    "carry": _cmd_carry,
-    "wedge": _cmd_wedge,
-    "table": _cmd_table,
-    "mul": _cmd_mul,
-    "div": _cmd_div,
-    "verify": _cmd_verify,
-    "bench": _cmd_bench,
+    "club": _Command(_cmd_club, "plum-blossom product of two integers", _PAIR),
+    "carry": _Command(_cmd_carry, "carry J of the plum decomposition of a*b", _PAIR),
+    "wedge": _Command(_cmd_wedge, "wedge product; first argument is the digit pair, e.g. 35 7", (("ab", str), ("c", str))),
+    "table": _Command(
+        _cmd_table,
+        "print the 10x10 wedge table for a multiplier 1..9",
+        (("c", int),),
+        {"--csv": _Option("emit a,b,value triples instead", flag=True), "--ascii": _Option("ASCII-only output", flag=True)},
+    ),
+    "mul": _Command(
+        _cmd_mul,
+        "multiply two numerals",
+        _PAIR,
+        {
+            "--method": _Option("multiplication method", choices=(*MUL_METHODS, "oracle"), default="wedge"),
+            "--segment": _Option("segment length for --method cross", int, default=1, metavar="L"),
+            "--trace": _Option("print the column trace", flag=True),
+            "--ascii": _ASCII,
+        },
+    ),
+    "div": _Command(
+        _cmd_div,
+        "divide two numerals",
+        _PAIR,
+        {
+            "--method": _Option("division method", choices=(*plum_div.DIV_METHODS, "oracle"), default="plum"),
+            "--decimals": _Option("decimal places in the quotient", int, default=0, metavar="D"),
+            "--trace": _Option("print the vertical tableau", flag=True),
+            "--ascii": _ASCII,
+        },
+    ),
+    "verify": _Command(
+        _cmd_verify,
+        "brute-force the law suites",
+        options={
+            "--suite": _Option("law suite to check", choices=VERIFY_SUITES, default="all"),
+            "--limit": _Option("exhaustive all-pairs bound for the equivalence suites", int, default=DEFAULT_EXHAUSTIVE_LIMIT),
+            "--random-pairs": _Option("random large-operand pairs per equivalence suite", int, default=200),
+        },
+    ),
+    "bench": _Command(
+        _cmd_bench,
+        "run the deterministic micro-benchmark",
+        options={
+            "--sizes": _Option("operand lengths in digits", int, default=(4, 8, 16, 32), many=True),
+            "--trials": _Option("trials per method and size", int, default=16),
+            "--seed": _Option("seed of the operand generator", int, default=0),
+            "--methods": _Option("methods to run", choices=bench_mod.BENCH_METHODS, default=bench_mod.BENCH_METHODS, many=True),
+            "--csv": _Option("write CSV here instead of standard output", metavar="PATH"),
+        },
+    ),
 }
+# each command's namespace before its arguments are read; every default is
+# immutable, so one call cannot change the next one's
+_DEFAULTS = {
+    name: {option[2:].replace("-", "_"): False if spec.flag else spec.default for option, spec in command.options.items()}
+    for name, command in _COMMANDS.items()
+}
+_HELP = ("-h", "--help")
+# a token like this is a value (a negative number), not an option
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+class _Stop(Exception):
+    """Parsing ends early for ``(command or None, message)``: a usage error, or help when the message is None."""
+
+
+def _split_option(arg: str, command: str | None) -> tuple[str, str | None] | None:
+    """``(option, value after '=' or None)`` for an option token, ``("", None)`` if unknown; None for a value.
+
+    Long options may be abbreviated to any unique prefix, and ``-h`` may be
+    repeated in one token (``-hh``).
+    """
+    if arg[:1] != "-" or arg == "-":
+        return None
+    if arg[1] != "-":
+        if arg[1] == "h":
+            return "-h", None if arg == "-h" else arg[3:] if arg[2] == "=" else arg[2:]
+        return None if _NEGATIVE_NUMBER.match(arg) or " " in arg else ("", None)
+    name, eq, value = arg.partition("=")
+    options = _COMMANDS[command].options if command else {}
+    if name not in options and name != "--help":
+        matches = [option for option in ("--help", *options) if option.startswith(name)]
+        if len(matches) > 1:
+            raise _Stop(command, f"ambiguous option: {arg} could match {', '.join(matches)}")
+        if not matches:
+            return None if " " in arg else ("", None)
+        name = matches[0]
+    return name, value if eq else None
+
+
+def _read(kind: Callable[[str], Any], text: str, argument: str, command: str, choices: tuple[str, ...] = ()) -> Any:
+    try:
+        value = kind(text)
+    except ValueError:  # the message may be Python's own, such as the int/str digit limit
+        raise _Stop(command, f"argument {argument}: invalid {kind.__name__} value: {text!r}") from None
+    if choices and value not in choices:
+        raise _Stop(command, f"argument {argument}: invalid choice: {text!r} (choose from {', '.join(map(repr, choices))})")
+    return value
+
+
+def _parse_args(argv: Sequence[str]) -> SimpleNamespace:
+    """Read ``argv`` against ``_COMMANDS`` in one pass.
+
+    Options come anywhere, as ``--name value`` or ``--name=value``, and the
+    last of a repeat wins; ``--`` makes every later token a value; ``-h`` or
+    ``--help`` anywhere asks for help.  Unknown options, extra positionals and
+    missing ones are reported once the whole line is read, so help still wins.
+    """
+    extras: list[str] = []
+    for start, arg in enumerate(argv):
+        option = None if arg == "--" else _split_option(arg, None)
+        if option is None:
+            break
+        if option[0] in _HELP:
+            _help_or_error(None, *option, ())
+        extras.append(arg)
+    else:
+        raise _Stop(None, "the following arguments are required: command")
+    name = arg
+    if name not in _COMMANDS:
+        raise _Stop(None, f"argument command: invalid choice: {name!r} (choose from {', '.join(map(repr, _COMMANDS))})")
+    command = _COMMANDS[name]
+    values = dict(_DEFAULTS[name], command=name)
+    given, after = 0, -1  # positionals read, and the index just past the last one
+    values_only = False
+    i, end = start + 1, len(argv)
+    while i < end:
+        arg = argv[i]
+        i += 1
+        if arg == "--" and not values_only:
+            values_only = True
+            if given == len(command.positionals) and after != i - 1:
+                extras.append(arg)  # "--" belongs to a positional beside it, if there is one
+            continue
+        option = None if values_only else _split_option(arg, name)
+        if option is None:
+            if given < len(command.positionals):
+                dest, kind = command.positionals[given]
+                values[dest] = _read(kind, arg, dest, name)
+                given, after = given + 1, i
+            else:
+                extras.append(arg)
+            continue
+        option, value = option
+        if option in _HELP:
+            _help_or_error(name, option, value, argv[i:])
+        spec = command.options.get(option)
+        if spec is None:
+            extras.append(arg)
+            continue
+        dest = option[2:].replace("-", "_")
+        if spec.flag:
+            if value is not None:
+                raise _Stop(name, f"argument {option}: ignored explicit argument {value!r}")
+            values[dest] = True
+            continue
+        if value is None:
+            stop, last = i, end if spec.many else min(i + 1, end)
+            while stop < last and argv[stop] != "--" and _split_option(argv[stop], name) is None:
+                stop += 1
+            if stop == i:
+                raise _Stop(name, f"argument {option}: expected {'at least one argument' if spec.many else 'one argument'}")
+            texts, i = argv[i:stop], stop
+        else:
+            texts = [value]
+        if spec.many:
+            values[dest] = [_read(spec.type, text, option, name, spec.choices) for text in texts]
+        else:
+            values[dest] = _read(spec.type, texts[0], option, name, spec.choices)
+    if given < len(command.positionals):
+        missing = ", ".join(dest for dest, _ in command.positionals[given:])
+        raise _Stop(name, f"the following arguments are required: {missing}")
+    if extras:
+        raise _Stop(name, f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(**values)
+
+
+def _help_or_error(command: str | None, option: str, value: str | None, rest: Sequence[str]) -> NoReturn:
+    """Stop for help, unless the help option carries a value: ``-hh`` is help, ``-hx`` and ``--help=x`` are errors."""
+    if value is not None and (option != "-h" or not value or value.strip("h")):
+        raise _Stop(command, f"argument -h/--help: ignored explicit argument {value!r}")
+    for arg in rest:  # an ambiguous option anywhere before "--" is an error even after help
+        if arg == "--":
+            break
+        _split_option(arg, command)
+    raise _Stop(command, None)
+
+
+def _option_form(option: str, spec: _Option) -> str:
+    if spec.flag:
+        return option
+    name = spec.metavar or ("{" + ",".join(spec.choices) + "}" if spec.choices else option[2:].replace("-", "_").upper())
+    return f"{option} {name} [{name} ...]" if spec.many else f"{option} {name}"
+
+
+def _usage(command: str | None) -> str:
+    if command is None:
+        return f"usage: plumcalc [-h] {{{','.join(_COMMANDS)}}} ..."
+    spec = _COMMANDS[command]
+    words = ["[-h]", *(f"[{_option_form(option, o)}]" for option, o in spec.options.items()), *(p for p, _ in spec.positionals)]
+    return f"usage: plumcalc {command} {' '.join(words)}"
+
+
+def _rows(rows: list[tuple[str, str]]) -> str:
+    """Two columns: the text from column 24, or below a name longer than 20."""
+    text = ""
+    for name, about in rows:
+        text += (f"  {name:<22}{about}" if len(name) <= 20 else f"  {name}\n{'':24}{about}").rstrip() + "\n"
+    return text
+
+
+def _help(command: str | None) -> str:
+    rows = [("-h, --help", "show this help message and exit")]
+    if command is None:
+        commands = _rows([(f"  {name}", spec.help) for name, spec in _COMMANDS.items()])
+        return f"{_usage(None)}\n\nPlum-blossom product and wedge product arithmetic\n\ncommands:\n{commands}\noptions:\n{_rows(rows)}"
+    spec = _COMMANDS[command]
+    for option, o in spec.options.items():
+        default = " ".join(map(str, o.default)) if isinstance(o.default, tuple) else o.default
+        rows.append((_option_form(option, o), o.help if o.flag or default is None else f"{o.help} (default: {default})"))
+    positionals = f"positional arguments:\n{_rows([(p, '') for p, _ in spec.positionals])}\n" if spec.positionals else ""
+    return f"{_usage(command)}\n\n{spec.help}\n\n{positionals}options:\n{_rows(rows)}"
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
+    except _Stop as stop:
+        command, message = stop.args
+        if message is None:
+            print(_help(command), end="")
+            return EXIT_OK
+        print(_usage(command), file=sys.stderr)
+        print(f"plumcalc{' ' + command if command else ''}: error: {message}", file=sys.stderr)
+        return EXIT_USAGE
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command].run(args)
     except ValueError as exc:
         print(f"plumcalc: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

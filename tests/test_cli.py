@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import argparse
 import random
+import sys
 
+import pytest
 from int_limits import int_digit_limit
+from plumcalc import bench as bench_mod
 from plumcalc import cli, cross_mul, equivalence, plum_div
 from plumcalc.bench import BENCH_METHODS
-from plumcalc.cli import MAX_BENCH_SIZE, MAX_DECIMALS, MAX_LIMIT, MAX_SEGMENT, main
+from plumcalc.cli import MAX_BENCH_SIZE, MAX_DECIMALS, MAX_LIMIT, MAX_SEGMENT, VERIFY_SUITES, main
 from plumcalc.cross_mul import MUL_METHODS, plum_mul
 from plumcalc.digit_string import DigitString
+from plumcalc.equivalence import DEFAULT_EXHAUSTIVE_LIMIT
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -322,19 +327,23 @@ def test_cli_output_byte_identical(capsys):
     assert first == second
 
 
-def test_parser_is_built_once(capsys, monkeypatch):
-    run(capsys, "mul", "348", "697")  # builds the parser unless an earlier call did
-    built = []
-    original = cli._Parser.__init__
+def test_parser_is_built_once(capsys):
+    # nothing is built per call: a call runs only the parse and its command,
+    # and neither usage nor help text is formatted unless it is printed
+    run(capsys, "mul", "348", "697")
+    entered = set()
 
-    def counting_init(self, *args, **kwargs):
-        built.append(kwargs.get("prog"))
-        original(self, *args, **kwargs)
+    def record(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == cli.__file__:
+            entered.add(frame.f_code.co_name)
 
-    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
-    for _ in range(3):
-        assert run(capsys, "mul", "348", "697") == (0, "242556\n", "")
-    assert built == []
+    sys.setprofile(record)
+    try:
+        outputs = [run(capsys, "mul", "348", "697", "--method", "plum") for _ in range(3)]
+    finally:
+        sys.setprofile(None)
+    assert outputs == [(0, "242556\n", "")] * 3
+    assert entered == {"main", "_parse_args", "_split_option", "_read", "_cmd_mul"}
 
 
 HELP_ARGVS = [["--help"]] + [[command, "--help"] for command in cli._COMMANDS]
@@ -348,7 +357,6 @@ USAGE_ERROR_ARGVS = [
 
 
 def test_parser_reuse_keeps_every_output(capsys):
-    cli._build_parser.cache_clear()
     first = run(capsys, "mul", "348", "697", "--trace")
     passes = [[run(capsys, *argv) for argv in HELP_ARGVS + USAGE_ERROR_ARGVS] for _ in range(2)]
     assert passes[0] == passes[1]
@@ -372,7 +380,176 @@ def test_bench_sizes_have_an_upper_bound(capsys, monkeypatch):
         assert err == f"plumcalc: error: --sizes must be at most {MAX_BENCH_SIZE}, got {max(sizes)}\n"
 
 
-def test_bench_defaults_are_immutable():
-    args = cli._build_parser().parse_args(["bench"])
-    assert args.sizes == (4, 8, 16, 32)
-    assert args.methods == BENCH_METHODS
+def test_bench_defaults_are_immutable(monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli.bench_mod, "run_bench", lambda sizes, trials, seed, methods: seen.append((sizes, methods)) or [])
+    for argv in (["bench"], ["bench", "--sizes", "2", "--methods", "plum"], ["bench"]):
+        assert main(argv) == 0
+    assert seen == [((4, 8, 16, 32), BENCH_METHODS), ([2], ["plum"]), ((4, 8, 16, 32), BENCH_METHODS)]
+    assert isinstance(seen[0][0], tuple) and isinstance(seen[0][1], tuple)
+    first = cli._parse_args(["bench"])
+    first.sizes, first.trials = (2,), 1  # a handler changing its namespace leaves the next call's alone
+    assert (cli._parse_args(["bench"]).sizes, cli._parse_args(["bench"]).trials) == ((4, 8, 16, 32), 16)
+
+
+class _Parser(argparse.ArgumentParser):
+    """The argparse grammar the command table replaced, kept as a reference: usage errors exit 1."""
+
+    def error(self, message: str) -> None:  # type: ignore[override]
+        self.print_usage(sys.stderr)
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        raise SystemExit(1)
+
+
+def _build_parser() -> _Parser:
+    parser = _Parser(prog="plumcalc", description="Plum-blossom product and wedge product arithmetic")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_club = sub.add_parser("club", help="plum-blossom product of two integers")
+    p_club.add_argument("a")
+    p_club.add_argument("b")
+
+    p_carry = sub.add_parser("carry", help="carry J of the plum decomposition of a*b")
+    p_carry.add_argument("a")
+    p_carry.add_argument("b")
+
+    p_wedge = sub.add_parser("wedge", help="wedge product; first argument is the digit pair, e.g. 35 7")
+    p_wedge.add_argument("ab")
+    p_wedge.add_argument("c")
+
+    p_table = sub.add_parser("table", help="print the 10x10 wedge table for a multiplier 1..9")
+    p_table.add_argument("c", type=int)
+    p_table.add_argument("--csv", action="store_true", help="emit a,b,value triples instead")
+    p_table.add_argument("--ascii", action="store_true", help="ASCII-only output")
+
+    p_mul = sub.add_parser("mul", help="multiply two numerals")
+    p_mul.add_argument("a")
+    p_mul.add_argument("b")
+    p_mul.add_argument("--method", choices=(*MUL_METHODS, "oracle"), default="wedge")
+    p_mul.add_argument("--segment", type=int, default=1, metavar="L", help="segment length for --method cross")
+    p_mul.add_argument("--trace", action="store_true", help="print the column trace")
+    p_mul.add_argument("--ascii", action="store_true", help="ASCII-only trace output")
+
+    p_div = sub.add_parser("div", help="divide two numerals")
+    p_div.add_argument("a")
+    p_div.add_argument("b")
+    p_div.add_argument("--method", choices=(*plum_div.DIV_METHODS, "oracle"), default="plum")
+    p_div.add_argument("--decimals", type=int, default=0, metavar="D", help="decimal places in the quotient")
+    p_div.add_argument("--trace", action="store_true", help="print the vertical tableau")
+    p_div.add_argument("--ascii", action="store_true", help="ASCII-only trace output")
+
+    p_verify = sub.add_parser("verify", help="brute-force the law suites")
+    p_verify.add_argument("--suite", choices=VERIFY_SUITES, default="all")
+    p_verify.add_argument(
+        "--limit",
+        type=int,
+        default=DEFAULT_EXHAUSTIVE_LIMIT,
+        help="exhaustive all-pairs bound for the equivalence suites",
+    )
+    p_verify.add_argument("--random-pairs", type=int, default=200, help="random large-operand pairs per equivalence suite")
+
+    p_bench = sub.add_parser("bench", help="run the deterministic micro-benchmark")
+    p_bench.add_argument("--sizes", type=int, nargs="+", default=(4, 8, 16, 32))
+    p_bench.add_argument("--trials", type=int, default=16)
+    p_bench.add_argument("--seed", type=int, default=0)
+    p_bench.add_argument("--methods", nargs="+", choices=bench_mod.BENCH_METHODS, default=bench_mod.BENCH_METHODS)
+    p_bench.add_argument("--csv", metavar="PATH", help="write CSV here instead of standard output")
+
+    return parser
+
+
+def reference_outcome(argv):
+    """The argparse reference's parsed values, or its exit code."""
+    try:
+        return vars(_build_parser().parse_args(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
+def table_outcome(argv):
+    """``cli``'s parsed values, or the exit code ``main`` gives for its stop."""
+    try:
+        return vars(cli._parse_args(argv))
+    except cli._Stop as stop:
+        return 0 if stop.args[1] is None else 1
+
+
+DIFFERENTIAL_ARGVS = [
+    ["club", "3", "7"],
+    ["carry", "5", "7"],
+    ["wedge", "35", "7"],
+    ["table", "9"],
+    ["mul", "12", "34"],
+    ["div", "56789", "369"],
+    ["verify"],
+    ["bench"],
+    ["mul", "12", "34", "--meth", "plum"],
+    ["mul", "--method=plum", "--", "12", "34"],
+    ["mul", "12", "34", "--method", "plum", "--method", "cross"],
+    ["bench", "--sizes", "2", "--sizes", "3", "--trials", "1", "--methods", "plum"],
+    ["verify", "--rand", "3", "--suite", "mul-equiv", "--limit", "2"],
+    ["verify", "--rand", "3", "--suite", "mul-equiv", "--limit", "2", "--random-pairs", "-3"],
+    ["mul", "12", "-h", "34"],
+    ["bench", "--s", "4"],
+    ["mul", "12", "34", "--trace=1"],
+    ["mul", "12", "34", "--method"],
+    ["mul", "12", "34", "56"],
+    ["mul", "123"],
+    ["bench", "--methods"],
+    ["table", "x"],
+    ["nonsense"],
+    [],
+    # each form on its own and together: prefixes, '=', '--', flags, negatives, repeats
+    ["mul", "--trace", "--ascii", "12", "34", "--segment=3", "--method=cross"],
+    ["div", "-1", "-2.5", "--decimals", "-7", "--method", "wedge", "--dec=4"],
+    ["bench", "--sizes", "2", "3", "--methods", "plum", "wedge", "--csv", "out.csv", "--seed", "-1"],
+    ["bench", "--sizes=4", "8"],
+    ["bench", "--csv="],
+    ["mul", "12", "34", "--help=x"],
+    ["mul", "12", "34", "-hx"],
+    ["mul", "12", "34", "-hh"],
+    ["mul", "12", "34", "-x"],
+    ["mul", "12", "--", "--method"],
+    ["mul", "12", "34", "--method", "-h"],
+    ["mul", "12", "34", "--method", "--"],
+    ["bench", "-h", "--s"],
+    ["bench", "--", "-h"],
+    ["--he"],
+    ["--x", "mul", "-h"],
+    ["--x", "mul", "12", "34"],
+    ["table", "3", "--c"],
+    ["table", "3", "--csv", "--ascii", "--csv"],
+    ["verify", "--suite", "bogus"],
+    ["verify", "--limit", "1_0", "--random-pairs", " 5 "],
+    ["wedge", "-", "7 8"],
+    ["carry", "--x y", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", DIFFERENTIAL_ARGVS + HELP_ARGVS + USAGE_ERROR_ARGVS, ids=" ".join)
+def test_table_parser_matches_the_argparse_reference(argv, capsys):
+    expected = reference_outcome(argv)
+    capsys.readouterr()
+    assert table_outcome(argv) == expected
+
+
+def test_huge_integer_option_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "mul", "12", "34", "--segment", "9" * 5000)
+    assert (code, out) == (1, "")
+    assert "invalid int value" in err and "Exceeds" not in err and "limit" not in err
+
+
+def test_help_is_generated_from_the_table(capsys):
+    code, out, _ = run(capsys, "--help")
+    assert code == 0
+    for name, command in cli._COMMANDS.items():
+        assert f" {name} " in out and command.help in out
+    for name, command in cli._COMMANDS.items():
+        code, out, _ = run(capsys, name, "--help")
+        assert code == 0 and command.help in out
+        words = [positional for positional, _ in command.positionals]
+        for option, spec in command.options.items():
+            words += [option, spec.help, *spec.choices]
+            defaults = spec.default if isinstance(spec.default, tuple) else (spec.default,)
+            words += [str(default) for default in defaults if not spec.flag and default is not None]
+        assert all(word in out for word in words), [word for word in words if word not in out]
