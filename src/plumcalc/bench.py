@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .cross_mul import MUL_METHODS, _columns
-from .digit_string import _decimal_text, _kernel_signed, normalize, normalize_stats
+from .digit_string import _decimal_text, normalize, normalize_stats
 from .equivalence import _random_digits, _seeded_rng
 
 __all__ = ["BenchMetrics", "run_bench", "metrics_to_csv", "BENCH_METHODS", "CSV_HEADER"]
@@ -98,7 +98,7 @@ def run_bench(
                 b = _random_digits(_seeded_rng(seed, method, size, trial, 1), 1 if single else size)
 
                 start = time.perf_counter_ns()
-                signed = _kernel_signed(_columns(method, a, b, 1))
+                signed = _columns(method, a, b, 1)
                 middle = time.perf_counter_ns()
                 product = normalize(signed)
                 end = time.perf_counter_ns()

@@ -30,10 +30,10 @@ multiplier digit.  Above ``_BASECASE_PAIRS`` digit pairs the kernel computes
 columns without visiting the pairs one by one: ``_packed_columns`` packs the
 operands one value per fixed-width byte slot into big integers, evaluates the
 columns' polynomial at one or two points (Kronecker substitution, and its
-multipoint form, Harvey, JSC 2009) and hands the columns over as a view of
-their two's-complement slot bytes, which ``normalize`` and the division chain
-check read by byte planes.  Slot widths follow from the operand lengths and the largest value a
-caller passes (9 for digits), not from a scan of the operands.  At or below
+multipoint form, Harvey, JSC 2009) and hands over only their two's-complement
+slot bytes, which ``normalize`` and the division chain check read by byte planes
+and a trace decodes.  Slot widths follow from the operand lengths and the largest
+value a caller passes (9 for digits), not from a scan of the operands.  At or below
 ``_BASECASE_PAIRS``, the basecase visits each pair once: a cross pair adds
 ``x*y`` to its column, and a wedge pair adds its residue ``x ♣ y`` to column
 ``i+j+1`` and its carry ``J(x ♣ y)`` to column ``i+j``, read from the digit
@@ -42,7 +42,6 @@ tables.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import repeat, starmap
@@ -53,8 +52,9 @@ from .digit_core import _CARRY10, _CLUB10, _WEDGE10
 from .digit_string import (
     DigitString,
     SignedDigitString,
+    _from_slots,
     _horner,
-    _kernel_signed,
+    _slot_width,
     normalize,
     segment,
 )
@@ -158,8 +158,6 @@ def cross_sum(xs: list[int] | tuple[int, ...], ys: list[int] | tuple[int, ...]) 
 # ---------------------------------------------------------------------------
 # Column kernel
 
-_SIGNED_FORMATS = {1: "b", 2: "h", 4: "i", 8: "q"} if sys.byteorder == "little" else {}
-
 # Kernel calls with at most this many digit pairs (``len(xs) * len(ys)``) take
 # the basecase, whose pair loop costs 0.1-0.15 µs a pair; packing costs 20-40 µs
 # of C-level calls right after ``gc.collect()``, as perfbench times every call
@@ -187,18 +185,6 @@ _TWO_POINT_PAIRS = 120_000
 # so they can be applied to already spread slots.
 _CARRY_BYTES = tuple(bytes(_CARRY10[x][d] for x in range(10)) + bytes(246) for d in range(10))
 _INDICATOR_BYTES = tuple(bytes(d) + b"\x01" + bytes(255 - d) for d in range(10))
-
-
-def _slot_width(bound: int) -> int:
-    """Bytes per packed slot for values up to ``bound``; 1, 2, 4 or 8 when they suffice."""
-    need = (bound.bit_length() + 7) // 8
-    if need <= 2:
-        return need or 1
-    if need <= 4:
-        return 4
-    if need <= 8:
-        return 8
-    return need
 
 
 def _slots(values: Sequence[int], width: int, top: int) -> bytes | bytearray:
@@ -230,7 +216,7 @@ def _unslot(packed: int, count: int, width: int) -> bytes:
 
 def _packed_columns(
     xs: Sequence[int], ys: Sequence[int], top: int, bound: int, digits: Sequence[int] | None = None
-) -> memoryview | list[int]:
+) -> tuple[bytes | bytearray, int]:
     """Columns of ``h = P``, or with the wedge carry ``digits`` of ``h = z*(P - 10*C) + C``, packed.
 
     ``xs`` and ``ys`` hold values in ``0..top``, and ``bound`` is at least twice
@@ -240,8 +226,8 @@ def _packed_columns(
     digit) every column is a slot of ``h(β)``, ``β = 2**(8*width)``.  Past it,
     slots of half the width give ``h(β)`` and ``h(-β)`` (``x(-β)`` is ``x(β)``
     less twice its odd slots): ``(h(β) + h(-β)) / 2`` holds the even columns and
-    ``(h(β) - h(-β)) / (2*β)`` the odd ones, interleaved at the full width.  The
-    columns are a writable signed view of their two's-complement slot bytes.
+    ``(h(β) - h(-β)) / (2*β)`` the odd ones, interleaved at the full width.
+    Returns the columns' little-endian two's-complement slot bytes and their width.
     """
     count = len(xs) + len(ys) - (digits is None)
     width = _slot_width(bound)
@@ -273,31 +259,29 @@ def _packed_columns(
         for byte in range(width):
             raw[byte :: 2 * width] = even[byte::width]
             raw[width + byte :: 2 * width] = odd[byte::width]
-    else:
-        raw = bytearray(_unslot(plus, count, width))
-    if width in _SIGNED_FORMATS:  # a writable view, or a list where no native format has the width
-        return memoryview(raw).cast(_SIGNED_FORMATS[width])
-    return [int.from_bytes(raw[i : i + width], "little", signed=True) for i in range(0, len(raw), width)]
+        return raw, width
+    return _unslot(plus, count, width), width
 
 
-def _convolve(xs: Sequence[int], ys: Sequence[int], top: int) -> Sequence[int]:
+def _convolve(xs: Sequence[int], ys: Sequence[int], top: int) -> SignedDigitString:
     """``sum(xs[i]*ys[j] for i+j == k)`` for every ``k``, of values in ``0..top``, packed past the basecase."""
     if len(xs) * len(ys) <= _BASECASE_PAIRS:
         columns = [0] * (len(xs) + len(ys) - 1)
         for i, x in enumerate(xs):
             for k, y in enumerate(ys, i):
                 columns[k] += x * y
-        return columns
-    return _packed_columns(xs, ys, top, 2 * top * top * min(len(xs), len(ys)))
+        return SignedDigitString(tuple(columns))
+    return _from_slots(*_packed_columns(xs, ys, top, 2 * top * top * min(len(xs), len(ys))))
 
 
-def _wedge_columns(xs: tuple[int, ...], ys: tuple[int, ...]) -> Sequence[int]:
+def _wedge_columns(xs: tuple[int, ...], ys: tuple[int, ...], ends: Sequence[tuple[int, int]] = ()) -> SignedDigitString:
     """Wedge columns ``P[k-1] - 10*C[k-1] + C[k]`` for ``k`` in ``0..m+n-1``.
 
     ``C`` sums, per distinct non-zero digit ``d`` of ``ys``, the carries of
     ``xs`` against ``d`` times the places of ``d`` in ``ys``.  Packed sums are
     exact at any width, so slots only hold the columns: ``|col| <= 11*(min(m, n) + 1)``.
     The basecase adds each pair's residue and carry to their columns instead.
+    With ``ends`` (plum's), column 0 is dropped and each ``(k, delta)`` adds ``delta`` to column ``k``.
     """
     if len(xs) * len(ys) <= _BASECASE_PAIRS:
         columns = [0] * (len(xs) + len(ys))
@@ -306,22 +290,30 @@ def _wedge_columns(xs: tuple[int, ...], ys: tuple[int, ...]) -> Sequence[int]:
             for k, y in enumerate(ys, i):
                 columns[k] += carry_of[y]
                 columns[k + 1] += residue_of[y]
-        return columns
+        if ends:
+            del columns[0]
+            for k, delta in ends:
+                columns[k] += delta
+        return SignedDigitString(tuple(columns))
     present = bytes(ys)
     digits = [d for d in range(1, 10) if d in present]
-    return _packed_columns(xs, ys, 9, 22 * (min(len(xs), len(ys)) + 1), digits)
+    raw, width = _packed_columns(xs, ys, 9, 22 * (min(len(xs), len(ys)) + 1), digits)
+    if ends:
+        raw = bytearray(raw[width:])
+        for k, delta in ends:
+            slot = slice(k * width, (k + 1) * width or None)  # k = -1 runs to the end
+            value = int.from_bytes(raw[slot], "little", signed=True) + delta
+            raw[slot] = value.to_bytes(width, "little", signed=True)
+    return _from_slots(raw, width)
 
 
-def _plum_columns(xs: tuple[int, ...], ys: tuple[int, ...]) -> Sequence[int]:
+def _plum_columns(xs: tuple[int, ...], ys: tuple[int, ...]) -> SignedDigitString:
     """Wedge columns one place lower, with the whole leading and split trailing products."""
     if len(xs) == len(ys) == 1:
-        return [xs[0] * ys[0]]
-    columns = _wedge_columns(xs, ys)[1:]
-    columns[0] += 10 * _CARRY10[xs[0]][ys[0]]
+        return SignedDigitString((xs[0] * ys[0],))
     x, y = xs[-1], ys[-1]
-    columns[-2] += x * y // 10 - _CARRY10[x][y]
-    columns[-1] += x * y % 10 - _CLUB10[x][y]
-    return columns
+    ends = ((0, 10 * _CARRY10[xs[0]][ys[0]]), (-2, x * y // 10 - _CARRY10[x][y]), (-1, x * y % 10 - _CLUB10[x][y]))
+    return _wedge_columns(xs, ys, ends)
 
 
 def _cross_operands(a: DigitString, b: DigitString, seg_len: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -333,10 +325,10 @@ def _cross_operands(a: DigitString, b: DigitString, seg_len: int) -> tuple[tuple
     return (sa, sb) if len(sa) >= len(sb) else (sb, sa)
 
 
-def _columns(method: str, a: DigitString, b: DigitString, radix_power: int) -> Sequence[int]:
-    """Signed columns of ``method`` (``cross`` in radix ``10**radix_power``): a list, or a packed kernel's view."""
+def _columns(method: str, a: DigitString, b: DigitString, radix_power: int) -> SignedDigitString:
+    """Signed columns of ``method`` (``cross`` in radix ``10**radix_power``), as the kernel built them."""
     if a.is_zero or b.is_zero:
-        return [0]
+        return SignedDigitString((0,))
     if method == "cross":
         return _convolve(*_cross_operands(a, b, radix_power), 10**radix_power - 1)
     if method == "plum":
@@ -346,7 +338,7 @@ def _columns(method: str, a: DigitString, b: DigitString, radix_power: int) -> S
 
 def _multiply(method: str, a: DigitString, b: DigitString, radix_power: int = 1) -> tuple[DigitString, MulTrace]:
     """The one path of every multiplication: columns, then ``normalize``, then the trace."""
-    signed = _kernel_signed(_columns(method, a, b, radix_power))
+    signed = _columns(method, a, b, radix_power)
     product = normalize(signed, radix_power)
     return product, MulTrace(method, a, b, radix_power, signed, product)
 

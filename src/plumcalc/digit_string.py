@@ -9,10 +9,10 @@ produce before carries are resolved.
 This module is the package's one radix-conversion layer, and no step of it is
 quadratic in Python operations.  Signed columns in any radix (:func:`_horner`)
 are evaluated in leaves of ``_LEAF`` values and the leaves joined pairwise by
-cached powers ``radix**(_LEAF * 2**j)``.  Past ``_PLANE_COLUMNS``, radix-10
-columns are read with no Python step per column (:func:`_plane_value`): as
-two's-complement slots, a column kernel's own or packed once here, each byte
-plane read as decimal numerals by ``int``.  :func:`normalize` reads up to
+cached powers ``radix**(_LEAF * 2**j)``.  A column kernel's two's-complement
+slot bytes, and radix-10 column tuples past ``_PLANE_COLUMNS`` packed once
+here, are read with no Python step per column (:func:`_plane_value`): each
+byte plane as decimal numerals by ``int``.  :func:`normalize` reads up to
 ``_BLOCK`` radix-10 columns as one value, and longer ones in blocks of
 ``_BLOCK`` from the least significant end, passing the carry up by one division
 by ``10**_BLOCK`` per block.  Digits and ``int`` meet through decimal text
@@ -29,7 +29,7 @@ from __future__ import annotations
 import builtins
 import struct
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
 
 __all__ = [
@@ -49,8 +49,8 @@ _DIGIT_VALUES = bytes(range(10))
 _LEAF = 16  # values per Horner leaf: a leaf of decimal digits stays below 10**16
 _BLOCK = 512  # digits per int/str call, below every int_max_str_digits limit
 _BLOCK_LIMIT = 10**_BLOCK
-# Radix-10 columns past this many are read by byte planes (_plane_value), fewer
-# by Horner leaves.  Measured on plum and wedge product columns (best of 7 x
+# Radix-10 column tuples past this many are read by byte planes (_plane_value),
+# fewer by one Horner loop.  Measured on plum and wedge product columns (best of 7 x
 # 3000 calls, us, without -> with planes): _horner 4.3 -> 4.4 at 44 columns,
 # 4.9 -> 4.5 at 48.  The planes' fixed cost is about 3.5 us.
 _PLANE_COLUMNS = 48
@@ -58,6 +58,7 @@ _PLANE_COLUMNS = 48
 # as ASCII, and the same of a two's-complement top byte offset by 0x80
 _BYTE_PLACES = tuple(bytes(48 + b // place % 10 for b in range(256)) for place in (100, 10, 1))
 _TOP_PLACES = tuple(table[128:] + table[:128] for table in _BYTE_PLACES)
+_SLOT_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}  # struct's code for a signed integer of each byte width
 
 
 @lru_cache(maxsize=128)
@@ -75,9 +76,9 @@ def _split(length: int, leaf: int) -> int:
 
 
 @lru_cache(maxsize=3 * _BLOCK)
-def _packer(code: str, count: int) -> struct.Struct:
-    """The little-endian packing of ``count`` signed integers of ``struct`` type ``code``."""
-    return struct.Struct(f"<{count}{code}")
+def _packer(width: int, count: int) -> struct.Struct:
+    """The little-endian layout of ``count`` signed integers of ``width`` bytes, one of ``_SLOT_CODES``."""
+    return struct.Struct(f"<{count}{_SLOT_CODES[width]}")
 
 
 @lru_cache(maxsize=_BLOCK)
@@ -86,15 +87,25 @@ def _repunit(count: int) -> int:
     return (10**count - 1) // 9
 
 
-def _pack(values: Sequence[int]) -> tuple[bytes, int] | None:
-    """``values`` as two's-complement slots of the narrowest of 2, 4 or 8 bytes, and that width; None past 64 bits."""
-    for code in "hiq":
-        try:
-            raw = _packer(code, len(values)).pack(*values)
-        except struct.error:
-            continue
-        return raw, len(raw) // len(values)
-    return None
+def _slot_width(bound: int) -> int:
+    """Bytes per slot for values up to ``bound``: the narrowest width struct has a code for, else as many as needed."""
+    need = (bound.bit_length() + 7) // 8
+    return next((width for width in _SLOT_CODES if width >= need), need)
+
+
+def _pack(values: Sequence[int]) -> tuple[bytes, int]:
+    """``values`` as little-endian two's-complement slots of the narrowest width that holds them, and that width."""
+    width = _slot_width(2 * max(map(abs, values)))
+    if width in _SLOT_CODES:
+        return _packer(width, len(values)).pack(*values), width
+    return b"".join(v.to_bytes(width, "little", signed=True) for v in values), width
+
+
+def _unpack(raw: bytes, width: int) -> tuple[int, ...]:
+    """The values of ``raw``'s ``width``-byte slots, as ``_pack`` writes them: the one decoder of slot bytes."""
+    if width in _SLOT_CODES:
+        return _packer(width, len(raw) // width).unpack(raw)
+    return tuple(int.from_bytes(raw[i : i + width], "little", signed=True) for i in range(0, len(raw), width))
 
 
 def _plane_value(raw: bytes, width: int) -> int:
@@ -126,19 +137,14 @@ def _horner(values: Sequence[int], radix: int) -> int:
     """Value of ``values`` (any sign) read most significant first as digits in ``radix``.
 
     Up to ``_LEAF`` values, and up to ``_PLANE_COLUMNS`` radix-10 values, are
-    one Horner loop.  More radix-10 values are packed once and read by
-    ``_plane_value``.  Longer sequences in other radices, and radix-10 values
-    past 64 bits, are split into a high part and a low part of
-    ``_LEAF * 2**j`` values, joined by a cached power of ``radix``.
+    one Horner loop.  Longer sequences are split into a high part and a low part
+    of ``_LEAF * 2**j`` values, joined by a cached power of ``radix``.
     """
     if len(values) <= _LEAF or radix == 10 and len(values) <= _PLANE_COLUMNS:
         total = 0
         for v in values:
             total = total * radix + v
         return total
-    packed = radix == 10 and _pack(values)
-    if packed:
-        return _plane_value(*packed)
     low = _split(len(values), _LEAF)
     return _horner(values[:-low], radix) * _power(radix, low) + _horner(values[-low:], radix)
 
@@ -234,20 +240,29 @@ def _valid_by_construction(digits: tuple[int, ...]) -> DigitString:
 
 @dataclass(frozen=True, init=False)
 class SignedDigitString:
-    """Column sequence with weight ``10**(len-1-i)`` per column, carries unresolved."""
+    """Column sequence with weight ``10**(len-1-i)`` per column, carries unresolved.
 
-    columns: tuple[int, ...]
-    _packed = None  # a column kernel's slot bytes and width, which ``normalize`` reads; not a field
+    ``columns`` and the packed form ``_slots`` (slot bytes and width) are each made from the other when first read.
+    """
+
+    # held by an instance built from a tuple; one a column kernel built holds only its slots until this is read
+    columns: tuple[int, ...] = cached_property(lambda self: _unpack(*self._slots))
 
     def __init__(self, columns: tuple[int, ...]) -> None:
         # stored straight into the instance dict: the generated __init__ of a
         # frozen dataclass pays one object.__setattr__ call per field
         self.__dict__["columns"] = columns
 
+    @cached_property
+    def _slots(self) -> tuple[bytes, int]:
+        return _pack(self.columns)
+
     def value(self) -> int:
         """The columns read in radix 10; columns in another radix, as on a segment trace, give another number."""
-        packed = len(self.columns) > _PLANE_COLUMNS and self._packed
-        return _plane_value(*packed) if packed else _horner(self.columns, 10)
+        columns = self.__dict__.get("columns")  # None while only the slots are held
+        if columns is not None and len(columns) <= _PLANE_COLUMNS:
+            return _horner(columns, 10)  # one Horner loop; slots and longer columns are read by byte planes
+        return _plane_value(*self._slots)
 
     def __len__(self) -> int:
         return len(self.columns)
@@ -257,6 +272,13 @@ class SignedDigitString:
 
     def __str__(self) -> str:
         return "(" + ",".join(map(_decimal_text, self.columns)) + ")"
+
+
+def _from_slots(raw: bytes, width: int) -> SignedDigitString:
+    """A :class:`SignedDigitString` holding only its packed form, the slots of ``raw``, ``width`` bytes each."""
+    s = object.__new__(SignedDigitString)
+    s.__dict__["_slots"] = raw, width
+    return s
 
 
 @dataclass(frozen=True)
@@ -335,37 +357,24 @@ def normalize_stats(s: SignedDigitString, radix_power: int = 1) -> tuple[DigitSt
     return _valid_by_construction(tuple(digits.lstrip(b"\0") or b"\0")), carries
 
 
-def _kernel_signed(columns: Sequence[int]) -> SignedDigitString:
-    """A column kernel's columns as a :class:`SignedDigitString`; a memoryview's slot bytes go with them."""
-    if type(columns) is not memoryview:
-        return SignedDigitString(tuple(columns))
-    s = SignedDigitString(tuple(columns.tolist()))
-    s.__dict__["_packed"] = columns.tobytes(), columns.itemsize
-    return s
-
-
 def normalize(s: SignedDigitString, radix_power: int = 1) -> DigitString:
     """Value-preserving conversion of a signed column sequence to canonical digits.
 
     Columns in radix ``10**radix_power`` take ``normalize_stats``' carry loop.
-    Past ``_PLANE_COLUMNS``, radix-10 columns are read by ``_plane_value`` from
-    the kernel's slot bytes that ``s`` carries, or else packed once; up to
-    ``_BLOCK`` columns their value is written out by ``_decimal_digits``.
-    Longer ones are read in blocks of ``_BLOCK`` from the least significant end:
-    a block's value plus the carry from the block below is split by
-    ``10**_BLOCK`` into its digits and the carry passed up, so the work stays
-    linear in the column count.
+    Radix-10 columns are read as ``s.value()`` reads them, byte planes in blocks
+    of ``_BLOCK`` from the least significant end: a block's value plus the carry
+    from the block below is split by ``10**_BLOCK`` into its digits and the
+    carry passed up, so the work stays linear in the column count.
     """
     if radix_power != 1:
         return normalize_stats(s, radix_power)[0]
-    columns = s.columns
-    packed = len(columns) > _PLANE_COLUMNS and (s._packed or _pack(columns))
-    if not packed or len(columns) <= _BLOCK:  # short columns, or columns past 64 bits, take _horner
-        total = _plane_value(*packed) if packed else _horner(columns, 10)
+    columns = s.__dict__.get("columns")  # None while only the slots are held
+    if columns is not None and len(columns) <= _PLANE_COLUMNS:
+        total = _horner(columns, 10)
         if total < 0:
             raise ValueError("signed digit string has negative total value")
         return _valid_by_construction(tuple(_decimal_digits(total)))
-    raw, width = packed
+    raw, width = s._slots
     size = _BLOCK * width  # bytes per block
     blocks = []  # least significant first
     carry = 0

@@ -29,11 +29,12 @@ them one at a time.
 
 ``divmod`` builds no step and no term.  The chain's last remainder is
 ``int(a) - sum(PP_n * 10**(s-n))``, so it checks the chain with one evaluation
-of the ``PP_n`` (:meth:`DivisionTrace.pp_reconstruction`) and keeps ``W`` in
-the trace, which builds its ``steps`` from ``W``, and each step its terms, when
-first read.  The terms are ``(kind, i, j, value)`` of divisor digits ``b[i]``
-against quotient digits ``c[j]`` (0-indexed here) along one diagonal ``i + j``,
-from ``cross_mul._diagonal_terms``, the builder of the multiplication terms too:
+of the ``PP_n`` (:meth:`DivisionTrace.pp_reconstruction`) and keeps the
+kernel's :class:`SignedDigitString` ``W`` in the trace, which builds its
+``steps`` from ``W``'s columns, and each step its terms, when first read.  The
+terms are ``(kind, i, j, value)`` of divisor digits ``b[i]`` against quotient
+digits ``c[j]`` (0-indexed here) along one diagonal ``i + j``, from
+``cross_mul._diagonal_terms``, the builder of the multiplication terms too:
 
 * plum ``pp0``: residues on ``i + j == n-1`` with ``i >= 1``, and carries on
   ``i + j == n`` with ``i >= 2``;
@@ -58,7 +59,6 @@ from .digit_string import (
     _decimal_digits,
     _decimal_text,
     _has_stray_digit,
-    _kernel_signed,
     _valid_by_construction,
 )
 
@@ -133,7 +133,7 @@ class DivisionTrace:
     quotient: DigitString
     quotient_digits: tuple[int, ...]
     remainder: DigitString
-    _columns: tuple[int, ...] = field(repr=False, compare=False)  # the kernel's W; empty for a zero quotient
+    _columns: SignedDigitString = field(repr=False, compare=False)  # the kernel's W; no columns for a zero quotient
 
     def __init__(
         self,
@@ -143,7 +143,7 @@ class DivisionTrace:
         quotient: DigitString,
         quotient_digits: tuple[int, ...],
         remainder: DigitString,
-        _columns: tuple[int, ...],
+        _columns: SignedDigitString,
     ) -> None:
         fields = self.__dict__  # stored directly, as in ``SignedDigitString.__init__``
         fields["method"] = method
@@ -164,7 +164,7 @@ class DivisionTrace:
         lead, second = (b.digits + (0,))[:2]  # a one-digit divisor has no second digit
         division = (self.method, b, c)
         steps, r = [], 0
-        for n, (digit, column) in enumerate(zip(self.dividend.digits, self._columns), 1):
+        for n, (digit, column) in enumerate(zip(self.dividend.digits, self._columns.columns), 1):
             interim = 10 * r + digit
             if n <= len(c):
                 c_n = c[n - 1]
@@ -180,18 +180,17 @@ class DivisionTrace:
     def pp_reconstruction(self) -> int:
         """``sum(PP_n * 10**(s-n))`` over the steps ``1..s``; equals divisor * quotient.
 
-        By linearity this is ``_horner(W) + b[1] * q * 10**(t-1)``: the ``b[1]*c[n]``
+        By linearity this is ``W.value() + b[1] * q * 10**(t-1)``: the ``b[1]*c[n]``
         parts of the ``PP_n`` sum to ``b[1]`` times the quotient, whose last digit
-        ``c[s-t+1]`` has weight ``10**(t-1)``.  ``divmod`` evaluates it once, from
-        its ``int`` quotient and the kernel's output: more than ``_PLANE_COLUMNS``
-        columns by byte planes of the kernel's slot bytes, with no step per column.
+        ``c[s-t+1]`` has weight ``10**(t-1)``.  A long ``W`` is read from the
+        kernel's slot bytes.
         """
-        return self._reconstruction
+        return _reconstruction(self._columns, self.divisor, int(self.quotient))
 
-    @cached_property
-    def _reconstruction(self) -> int:  # divmod sets it as it checks the chain; read here on a trace built otherwise
-        b = self.divisor.digits
-        return SignedDigitString(self._columns).value() + b[0] * int(self.quotient) * 10 ** (len(b) - 1)
+
+def _reconstruction(columns: SignedDigitString, b: DigitString, q: int) -> int:
+    """``sum(PP_n * 10**(s-n))`` of a division by ``b`` with quotient ``q``, whose kernel gave ``columns``."""
+    return columns.value() + b.digits[0] * q * 10 ** (len(b) - 1)
 
 
 def _check_step(c_so_far: Sequence[int], n: int) -> None:
@@ -250,15 +249,13 @@ def divmod(a: DigitString, b: DigitString, method: str = "plum") -> tuple[DigitS
     q, r = builtins.divmod(dividend, int(b))
     if not q:
         quotient = _valid_by_construction((0,))
-        return quotient, a, DivisionTrace(method, a, b, quotient, (), a, ())
+        return quotient, a, DivisionTrace(method, a, b, quotient, (), a, SignedDigitString(()))
     c = tuple(_decimal_digits(q, s - t + 1))
-    columns = _kernel_signed(_wedge_columns(b.digits[1:], c) if t > 1 else (0,) * s)
+    columns = _wedge_columns(b.digits[1:], c) if t > 1 else SignedDigitString((0,) * s)
     # a >= 10**(s-1) and b < 10**t, so q has at least s - t digits: c has at most one leading zero
     quotient = _valid_by_construction(c[1:] if c[0] == 0 else c)
-    trace = DivisionTrace(method, a, b, quotient, c, DigitString.from_int(r), columns.columns)
-    # pp_reconstruction() from the kernel's slot bytes, when it packed them, and from q, not the quotient's digits
-    trace.__dict__["_reconstruction"] = columns.value() + b.digits[0] * q * 10 ** (t - 1)
-    chain = dividend - trace.pp_reconstruction()
+    trace = DivisionTrace(method, a, b, quotient, c, DigitString.from_int(r), columns)
+    chain = dividend - _reconstruction(columns, b, q)  # trace.pp_reconstruction(), from divmod's own q
     if chain != r:
         raise RuntimeError(
             f"{method} division of {a} by {b}: partial remainder chain diverged: "

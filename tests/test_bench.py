@@ -11,6 +11,7 @@ import pytest
 from plumcalc.bench import BENCH_METHODS, CSV_HEADER, BenchMetrics, metrics_to_csv, run_bench
 from plumcalc.digit_string import DigitString
 from plumcalc.equivalence import _random_digits, _seeded_rng
+from slot_bytes import bumped
 
 
 def untimed(metrics: list[BenchMetrics]) -> list[str]:
@@ -93,9 +94,7 @@ def test_product_check_aborts_on_mismatch(monkeypatch):
     plum_columns = cross_mul._plum_columns
 
     def one_too_high(xs, ys):
-        columns = plum_columns(xs, ys)
-        columns[-1] += 1
-        return columns
+        return bumped(plum_columns(xs, ys), -1)
 
     monkeypatch.setattr(cross_mul, "_plum_columns", one_too_high)
     a, b = (int(_random_digits(_seeded_rng(0, "plum", 3, 0, side), 3)) for side in (0, 1))

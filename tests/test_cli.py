@@ -15,6 +15,7 @@ from plumcalc.cli import MAX_BENCH_SIZE, MAX_DECIMALS, MAX_LIMIT, MAX_SEGMENT, V
 from plumcalc.cross_mul import MUL_METHODS, plum_mul
 from plumcalc.digit_string import DigitString
 from plumcalc.equivalence import DEFAULT_EXHAUSTIVE_LIMIT
+from slot_bytes import bumped
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -195,9 +196,7 @@ def test_error_exits_pinned(capsys, monkeypatch):
     wedge_columns = plum_div._wedge_columns
 
     def last_column_one_high(xs, ys):
-        columns = wedge_columns(xs, ys)  # a list pair by pair, a view of the slot bytes when packed
-        columns[-1] += 1
-        return columns
+        return bumped(wedge_columns(xs, ys), -1)  # the chain check reads the changed slot bytes
 
     monkeypatch.setattr(plum_div, "_wedge_columns", last_column_one_high)
     message = "plum division of 56789 by 369: partial remainder chain diverged: 331 vs 332"

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from int_limits import int_digit_limit
-from plumcalc import cross_mul, plum_div
+from plumcalc import cross_mul, digit_string, plum_div
 from plumcalc.bench import metrics_to_csv, run_bench
 from plumcalc.cross_mul import (
     MUL_METHODS,
@@ -24,8 +24,8 @@ from plumcalc.digit_core import carry, wedge
 from plumcalc.digit_string import (
     DigitString,
     SignedDigitString,
-    _kernel_signed,
     _plane_value,
+    _unpack,
     normalize,
     normalize_stats,
     parse,
@@ -314,11 +314,11 @@ def test_cross_slot_widths_across_byte_boundaries(length, monkeypatch):
     + [(2**64 - 1, 8), (2**64, 9), (2**72 - 1, 9), (2**72, 10)],
 )
 def test_slot_width_at_byte_boundaries(bound, width):
-    # a memoryview format width (1, 2, 4, 8) up to 8 bytes, then the exact byte count
+    # a width struct has a code for (1, 2, 4, 8) up to 8 bytes, then the exact byte count
     assert cross_mul._slot_width(bound) == width
 
 
-# --- signed unpack: slot widths, extreme slots, the non-native path ---------
+# --- slot bytes: widths, extreme slots, decoding, handing over -------------
 
 
 def direct_wedge_column(xs, ys, k: int) -> int:
@@ -363,7 +363,7 @@ def test_wedge_columns_sampled_across_width_two_to_four(size, monkeypatch):
     for xs, ys in kernel_operands(size, size):
         expected = [direct_wedge_column(xs, ys, k) for k in sampled]
         for path in kernel_paths(monkeypatch, ("one-point", "two-point")):
-            columns = cross_mul._wedge_columns(xs, ys)
+            columns = cross_mul._wedge_columns(xs, ys).columns
             assert len(columns) == 2 * size
             assert [columns[k] for k in sampled] == expected, path
 
@@ -407,23 +407,23 @@ def test_wedge_columns_reach_the_attained_extremes(p, monkeypatch):
         # column p sums the windows (xs[i-1], xs[i]) against ys[p-i], i = 1..p; min(len(xs), len(ys)) = p
         ys = multipliers[::-1]
         for path in kernel_paths(monkeypatch, paths):
-            columns = cross_mul._wedge_columns(xs, ys)
+            columns = cross_mul._wedge_columns(xs, ys).columns
             assert columns[p] == extreme, path
             assert low <= min(columns) and max(columns) <= high, path
 
 
 @pytest.mark.parametrize("width", [1, 2, 4, 8, 9])
 def test_unslot_reads_extreme_signed_slots(width):
-    # the slot bytes are what the column view, normalize and the division chain
-    # check all read: the view casts them, byte planes read them at every width
+    # the slot bytes are what the column tuple, normalize and the division chain
+    # check all read: the decoder reads them by struct up to 8 bytes and by
+    # int.from_bytes past them, byte planes at every width
     low, high = -(2 ** (8 * width - 1)), 2 ** (8 * width - 1) - 1
     values = [low, high, -1, 0, 1, high, low, low + 1, high - 1, -1, low]
     packed = sum(v << (8 * width * k) for k, v in enumerate(values))
     raw = cross_mul._unslot(packed, len(values), width)
     assert raw == b"".join(v.to_bytes(width, "little", signed=True) for v in values)
     assert _plane_value(raw, width) == decimal_value(values)
-    if width in cross_mul._SIGNED_FORMATS:
-        assert memoryview(raw).cast(cross_mul._SIGNED_FORMATS[width]).tolist() == values
+    assert _unpack(raw, width) == tuple(values)
 
 
 def decimal_value(columns) -> int:
@@ -449,18 +449,42 @@ def all_columns(a: DigitString, b: DigitString):
 KERNEL_OPERANDS = [(7, 8), (386, 47), (10**12 - 1, 10**11 - 1), (int("2" * 40), int("9" * 300))]
 
 
-def test_non_native_unpack_matches_native(monkeypatch):
-    with int_digit_limit(0):
-        operands = KERNEL_OPERANDS + [
-            (int("31415926535897932384626433832795" * 94), int("27182818284590452353602874713527" * 94))
-        ]
-    operands = [(ds(x), ds(y)) for x, y in operands]
-    native_formats = cross_mul._SIGNED_FORMATS
-    for path in kernel_paths(monkeypatch, ("one-point", "two-point")):  # every call unpacks
-        monkeypatch.setattr(cross_mul, "_SIGNED_FORMATS", native_formats)
-        native = [all_columns(a, b) for a, b in operands]
-        monkeypatch.setattr(cross_mul, "_SIGNED_FORMATS", {})
-        assert [all_columns(a, b) for a, b in operands] == native, path
+# products whose packed columns take every slot width the kernel makes:
+# (method, digits a side, segment length, slot bytes at one point, at two
+# points); struct has codes for 1, 2, 4 and 8 bytes and none for 9 or 10, and
+# two points halve the slots and interleave them at twice the half width
+SLOT_WIDTH_PRODUCTS = [
+    ("wedge", 10, 1, 1, 2),
+    ("plum", 11, 1, 2, 2),
+    ("cross", 405, 1, 4, 4),
+    ("cross", 200, 3, 4, 4),
+    ("cross", 200, 5, 8, 8),
+    ("cross", 200, 9, 9, 10),
+]
+
+
+@pytest.mark.parametrize(
+    "method, size, seg_len, one_point, two_points",
+    SLOT_WIDTH_PRODUCTS,
+    ids=[f"{m}-{n}d-seg{L}" for m, n, L, *_ in SLOT_WIDTH_PRODUCTS],
+)
+def test_kernel_slots_decode_to_the_basecase_columns(method, size, seg_len, one_point, two_points, monkeypatch):
+    # the packed kernel hands over slot bytes only; the columns decoded from
+    # them when first read are the basecase's, whatever the width
+    rng = random.Random(size * seg_len)
+    a, b = ds(10**size - 1), ds(rng.randrange(10 ** (size - 1), 10**size))  # all nines fill the widest columns
+    widths = {"basecase": None, "one-point": one_point, "two-point": two_points}
+    columns = {}
+    for path in kernel_paths(monkeypatch):
+        signed = cross_mul._columns(method, a, b, seg_len)
+        if widths[path] is None:
+            assert "_slots" not in signed.__dict__
+        else:
+            assert "columns" not in signed.__dict__ and signed._slots[1] == widths[path], path
+        columns[path] = signed.columns
+        assert type(columns[path]) is tuple and len(signed) == len(columns[path]), path
+    assert columns["one-point"] == columns["two-point"] == columns["basecase"]
+    assert int(normalize_stats(SignedDigitString(columns["basecase"]), seg_len)[0]) == int(a) * int(b)
 
 
 def test_basecase_matches_packed_kernel(monkeypatch):
@@ -472,7 +496,7 @@ def test_basecase_matches_packed_kernel(monkeypatch):
 
 
 def kernel_outputs(a: DigitString, b: DigitString, monkeypatch):
-    """``(radix_power, output)`` of every kernel call of multiplying ``a`` by ``b``, and of dividing ``a*b + 1`` by ``b``.
+    """``(radix_power, signed)`` of every kernel call of multiplying ``a`` by ``b``, and of dividing ``a*b + 1`` by ``b``.
 
     The division's kernel output is the one its trace and chain check read;
     each division's trace is checked here too.
@@ -488,7 +512,7 @@ def kernel_outputs(a: DigitString, b: DigitString, monkeypatch):
         q, _, trace = plum_div.divmod(dividend, b, method)
         assert trace.pp_reconstruction() == dataclasses.replace(trace).pp_reconstruction() == int(b) * int(q)
         if len(b) > 1:  # a one-digit divisor's kernel columns are all zero, and no kernel is called
-            assert trace._columns == tuple(divisions[-1])
+            assert trace._columns is divisions[-1]
             outputs.append((1, divisions[-1]))
     monkeypatch.setattr(plum_div, "_wedge_columns", kernel)
     return outputs
@@ -502,26 +526,26 @@ HANDED_OVER_SIZES = [(1, 1), (2, 2), (10, 10), (11, 11), (10, 300), (404, 404), 
 
 @pytest.mark.parametrize("sizes", HANDED_OVER_SIZES, ids=[f"{m}x{n}" for m, n in HANDED_OVER_SIZES])
 def test_handed_over_bytes_columns_and_normalize_agree(sizes, monkeypatch):
-    # the kernel's view, the column tuple cast from it, the slot bytes
-    # normalize and the division chain check read, normalize of the bare
-    # columns and normalize_stats all agree, on every path; plum's end
-    # corrections are written into the slot bytes, so plum checks them too
+    # the packed kernel's slot bytes, which normalize and the division chain
+    # check read, their slot count, the column tuple decoded from them,
+    # normalize of the bare columns and normalize_stats all agree, on
+    # every path; plum's end corrections are written into the slot bytes, so
+    # plum checks them too
     rng = random.Random(sum(sizes))
     m, n = sizes
     a, b = (parse(str(rng.randint(1, 9)) + "".join(rng.choices("0123456789", k=k - 1))) for k in (m, n))
     paths = tuple(KERNEL_PATHS) if m * n < 10**4 else ("one-point", "two-point")
     packed_widths = set()
     for path in kernel_paths(monkeypatch, paths):
-        for radix_power, output in kernel_outputs(a, b, monkeypatch):
-            signed = _kernel_signed(output)
-            assert signed.columns == tuple(output), path
-            if type(output) is memoryview:
-                packed_widths.add(output.itemsize)
-                assert signed._packed == (output.tobytes(), output.itemsize), path
-                assert _plane_value(*signed._packed) == decimal_value(signed.columns), path
-            else:
-                assert signed._packed is None, path
+        for radix_power, signed in kernel_outputs(a, b, monkeypatch):
+            if path != "basecase" and "_slots" in signed.__dict__:  # built from the kernel's slot bytes
+                raw, width = signed._slots
+                packed_widths.add(width)
+                assert "columns" not in signed.__dict__, path  # the division's chain check read the slots only
+                assert len(raw) == len(signed) * width, path
+                assert _plane_value(raw, width) == decimal_value(signed.columns), path
             bare = SignedDigitString(signed.columns)
+            assert signed == bare and hash(signed) == hash(bare) and repr(signed) == repr(bare), path
             expected = normalize_stats(bare, radix_power)[0]
             assert normalize(signed, radix_power) == normalize(bare, radix_power) == expected, path
             if radix_power == 1:
@@ -529,6 +553,36 @@ def test_handed_over_bytes_columns_and_normalize_agree(sizes, monkeypatch):
     assert packed_widths, "no kernel call was packed"
     if sizes == (10, 10):
         assert 1 in packed_widths  # a one-byte one-point slot
+
+
+def test_timed_calls_never_decode_the_columns(monkeypatch):
+    # products and a division past every crossover read their columns only as
+    # slot bytes: with the decoder failing, each still gives int's result;
+    # the columns and steps a trace decodes later are the basecase's
+    rng = random.Random(320)
+    x, y = (rng.randrange(10**319, 10**320) for _ in range(2))
+    dividend = rng.randrange(10**639, 10**640)
+    a, b, c = ds(x), ds(y), ds(dividend)
+
+    def undecodable(raw, width):
+        raise AssertionError("columns decoded")
+
+    monkeypatch.setattr(digit_string, "_unpack", undecodable)
+    traces = []
+    for method in MUL_METHODS.values():
+        product, trace = method(a, b)
+        assert int(product) == x * y, trace.method
+        traces.append(trace)
+    q, r, division = plum_div.divmod(c, b)
+    assert (int(q), int(r)) == divmod(dividend, y)
+    assert all("_slots" in t.signed.__dict__ for t in traces) and "_slots" in division._columns.__dict__
+    monkeypatch.undo()
+
+    decoded = [t.signed.columns for t in traces], division._columns.columns, division.steps
+    monkeypatch.setattr(cross_mul, "_BASECASE_PAIRS", EVERY_CALL)
+    division = plum_div.divmod(c, b)[2]
+    products = [method(a, b)[1].signed.columns for method in MUL_METHODS.values()]
+    assert decoded == (products, division._columns.columns, division.steps)
 
 
 @pytest.mark.parametrize(

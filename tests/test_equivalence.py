@@ -9,7 +9,7 @@ import pytest
 
 from plumcalc import equivalence, plum_div
 from plumcalc.cross_mul import MUL_METHODS, plum_mul, wedge_mul_single
-from plumcalc.digit_string import DigitString
+from plumcalc.digit_string import DigitString, SignedDigitString
 from plumcalc.oracle import Nat
 
 
@@ -92,7 +92,7 @@ def test_wrong_kernel_column_is_recorded_as_reconstructions(monkeypatch):
     def last_column_off_by_one(q, r, trace):
         columns = list(trace._columns) or [0]  # a zero quotient's trace has no column
         columns[-1] += 1
-        return q, r, dataclasses.replace(trace, _columns=tuple(columns))
+        return q, r, dataclasses.replace(trace, _columns=SignedDigitString(tuple(columns)))
 
     violations = sweep_with_divmod(monkeypatch, last_column_off_by_one)
     for (x, y), expected, actual in violations:
