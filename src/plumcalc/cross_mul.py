@@ -6,7 +6,7 @@ then resolves into canonical digits.  Every method is one call of
 ``_multiply``, which reads the columns from ``_columns``, normalizes them and
 returns a :class:`MulTrace` beside the product; the terms that went into every
 column are built from the operands only when :attr:`MulTrace.columns` is first
-read, by the diagonal walker and pair tables that the trace text is read from.
+read, sliced from the same per-kind grids of pairs that the trace text is.
 
 Column conventions, 0-indexed from the most significant end:
 
@@ -44,9 +44,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import repeat, starmap
-from operator import getitem, mul
-from typing import Callable, Iterable, NamedTuple, Sequence
+from itertools import chain, repeat
+from operator import getitem, itemgetter, mul
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .digit_core import _CARRY10, _CLUB10, _WEDGE10
 from .digit_string import (
@@ -133,13 +133,9 @@ class MulTrace:
     @cached_property
     def columns(self) -> tuple[ColumnBreakdown, ...]:
         """Every column's terms, most significant column first."""
-        xs, ys, layout = _term_layout(self)
-        ys_reversed = ys[::-1]
-        columns = []
-        for parts in layout:
-            terms = [term for kind, k in parts for term in _diagonal_terms(kind, xs, ys_reversed, k)]
-            columns.append(ColumnBreakdown(tuple(terms), sum(t.value for t in terms)))
-        return tuple(columns)
+        tables = _PAIR_TABLES if self.radix_power == 1 else None  # segments are multiplied out
+        cells = _layout_cells(*_term_layout(self), tables, mul)
+        return tuple(ColumnBreakdown(_terms(parts, values), sum(values)) for parts, values in cells)
 
     def column_value(self) -> int:
         """Value of the pre-normalization columns in radix ``10**radix_power``."""
@@ -344,14 +340,12 @@ def _multiply(method: str, a: DigitString, b: DigitString, radix_power: int = 1)
 
 
 # ---------------------------------------------------------------------------
-# Trace terms, generated when ``MulTrace.columns`` or a division step's terms
-# are read.  Every term list is made of whole or clipped diagonals
-# ``i + j == k`` of an operand grid, walked by ``_diagonal_cells``: the parts
-# ``_term_layout`` lists for each multiplication column here, and one per step
-# in ``plum_div``, whose partial products pair the divisor with the quotient
-# digits chosen so far.  ``_diagonal_terms`` reads the cells' values from
-# ``_PAIR_TABLES``; ``trace.render_mul`` reads their text from tables built
-# from ``_PAIR_TABLES``, and so builds no term.
+# Trace terms, built when ``MulTrace.columns`` or a division step's terms are
+# read, from diagonals ``i + j == k`` of an operand grid, whose rows
+# ``_diagonal_rows`` gives.  ``_layout_cells`` reads a whole trace, the parts
+# ``_term_layout`` lists per column, as strided slices of one grid per kind, of
+# values for ``MulTrace.columns`` or of text for ``trace.render_mul``, which so
+# builds no term; ``_diagonal_terms`` reads a division step's one diagonal.
 
 
 def _term_layout(trace: MulTrace) -> tuple[Sequence[int], Sequence[int], list[tuple[tuple[str, int], ...]]]:
@@ -392,41 +386,68 @@ _PAIR_TABLES = {
 }
 
 
-def _diagonal_cells(
-    kind: str, xs: Sequence[int], ys_reversed: Sequence[int], k: int, tables: dict | None, first: int = 0
-) -> tuple[range, Iterable]:
-    """Rows ``i >= first`` of diagonal ``k`` of ``xs`` against ``ys``, and the cell of each row, in order.
+def _diagonal_rows(k: int, n: int, count: int, first: int = 0) -> range:
+    """Rows ``i >= first`` of diagonal ``i + j == k`` of a grid of ``count`` rows by ``n`` columns ``j``."""
+    start = k + 1 - n
+    return range(start if start > first else first, k + 1 if k < count else count)
 
-    A cell is ``tables[kind][xs[i]][ys[k - i]]``, or without ``tables`` the pair
-    ``(xs[i], ys[k - i])``.  A wedge cell is ``tables["wedge"][xs[i]][xs[i+1]][ys[k - i]]``,
-    so its rows are the ``len(xs) - 1`` windows of ``xs``.  ``ys`` comes reversed,
-    so that the partners of a diagonal's rows are one slice.  The range of rows
-    may run past the last row of ``xs``; the cells, cut by the slices, stop there.
+
+def _terms(parts: Iterable[tuple[str, int, range]], values: Iterable[int]) -> tuple[Term, ...]:
+    """Terms of each ``(kind, diagonal, rows)`` part in turn, by ``tuple.__new__`` (``Term.__new__`` costs more)."""
+    cells = iter(values)  # each part takes one per row, in row order
+    fields = (zip(repeat(kind), rows, range(k - rows.start, k - rows.stop, -1), cells) for kind, k, rows in parts)
+    return tuple(map(tuple.__new__, repeat(Term), chain.from_iterable(fields)))
+
+
+def _layout_cells(
+    xs: Sequence[int], ys: Sequence[int], layout: list, tables: dict | None, pair: Callable
+) -> Iterator[tuple[list[tuple[str, int, range]], list]]:
+    """Each column of ``layout``: its parts' ``(kind, diagonal, rows)``, and their cells in order.
+
+    A kind's grid holds the rows its diagonals cross, row ``i`` at ``(i - first) * n``: ``itemgetter(*ys
+    reversed)`` of ``tables[kind][xs[i]]`` (wedge: ``[xs[i]][xs[i+1]]``), or ``pair(x, y)`` of each pair.
     """
-    wedge = kind == "wedge"
-    start = len(ys_reversed) - 1 - k
-    rows = range(max(first, -start), k + 1)
+    n = len(ys)
+    ys_reversed = ys[::-1]
+    last = {kind: k for column in layout for kind, k in column}  # a kind's diagonals increase down the layout
+    take = itemgetter(*ys_reversed) if n else None
+    grids = {}
+    for kind, k in {kind: k for column in reversed(layout) for kind, k in column}.items():
+        count = len(xs) - (kind == "wedge")  # a wedge row is the window xs[i], xs[i+1]
+        first, stop = _diagonal_rows(k, n, count).start, _diagonal_rows(last[kind], n, count).stop
+        if tables is None:
+            grid = [pair(x, y) for x in xs[first:stop] for y in ys_reversed]
+        else:
+            rows = map(tables[kind].__getitem__, xs[first:stop])
+            if kind == "wedge":
+                rows = map(getitem, rows, xs[first + 1 : stop + 1])
+            rows = map(take, rows)  # a tuple per row, or one cell when n is 1
+            grid = list(rows if n == 1 else chain.from_iterable(rows))
+        grids[kind] = count, n - 1 - first * n, grid
+    for column in layout:
+        parts, cells = [], []
+        for kind, k in column:
+            count, base, grid = grids[kind]
+            rows = _diagonal_rows(k, n, count)
+            start = rows.start * (n + 1) - k + base  # row i's cell n - 1 - k + i: one slice of stride n + 1
+            cells += grid[start : start + (n + 1) * len(rows) : n + 1]
+            parts.append((kind, k, rows))
+        yield parts, cells
+
+
+def _diagonal_terms(
+    kind: str, xs: Sequence[int], ys_reversed: Sequence[int], k: int, first: int = 0
+) -> tuple[Term, ...]:
+    """Terms of ``kind`` on rows ``i >= first`` of diagonal ``k`` alone, valued from ``_PAIR_TABLES``."""
+    rows = _diagonal_rows(k, len(ys_reversed), len(xs) - (kind == "wedge"), first)
+    start = len(ys_reversed) - 1 - k  # ys come reversed, so the rows' partners are one slice
     lefts, rights = xs[rows.start : rows.stop], ys_reversed[start + rows.start : start + rows.stop]
-    if tables is None:
-        return rows, zip(lefts, rights)
-    cells = map(tables[kind].__getitem__, lefts)
-    if wedge:
+    if kind == "product":  # multiplied out, as products may pair segments
+        return _terms([(kind, k, rows)], map(mul, lefts, rights))
+    cells = map(_PAIR_TABLES[kind].__getitem__, lefts)
+    if kind == "wedge":
         cells = map(getitem, cells, xs[rows.start + 1 : rows.stop + 1])
-    return rows, map(getitem, cells, rights)
-
-
-def _diagonal_terms(kind: str, xs: Sequence[int], ys_reversed: Sequence[int], k: int, first: int = 0) -> list[Term]:
-    """Terms of ``kind`` on the cells of ``_diagonal_cells``, valued from ``_PAIR_TABLES``.
-
-    Products are multiplied out instead, since they may pair segments.  Each
-    ``Term`` is made by ``tuple.__new__``, skipping the namedtuple's Python-level
-    ``__new__``, which costs more than the values themselves.
-    """
-    product = kind == "product"
-    rows, cells = _diagonal_cells(kind, xs, ys_reversed, k, None if product else _PAIR_TABLES, first)
-    values = starmap(mul, cells) if product else cells
-    columns = range(k - rows.start, k - rows.stop, -1)
-    return list(map(tuple.__new__, repeat(Term), zip(repeat(kind), rows, columns, values)))
+    return _terms([(kind, k, rows)], map(getitem, cells, rights))
 
 
 # ---------------------------------------------------------------------------

@@ -258,11 +258,13 @@ class SignedDigitString:
         return _pack(self.columns)
 
     def value(self) -> int:
-        """The columns read in radix 10; columns in another radix, as on a segment trace, give another number."""
-        columns = self.__dict__.get("columns")  # None while only the slots are held
-        if columns is not None and len(columns) <= _PLANE_COLUMNS:
-            return _horner(columns, 10)  # one Horner loop; slots and longer columns are read by byte planes
-        return _plane_value(*self._slots)
+        """The columns read in radix 10 (not a segment trace's product), kept for ``normalize`` and checks to share."""
+        fields = self.__dict__
+        if "_value" not in fields:
+            columns = fields.get("columns")  # None while only the slots are held
+            short = columns is not None and len(columns) <= _PLANE_COLUMNS  # one Horner loop, else byte planes
+            fields["_value"] = _horner(columns, 10) if short else _plane_value(*self._slots)
+        return fields["_value"]
 
     def __len__(self) -> int:
         return len(self.columns)
@@ -369,8 +371,8 @@ def normalize(s: SignedDigitString, radix_power: int = 1) -> DigitString:
     if radix_power != 1:
         return normalize_stats(s, radix_power)[0]
     columns = s.__dict__.get("columns")  # None while only the slots are held
-    if columns is not None and len(columns) <= _PLANE_COLUMNS:
-        total = _horner(columns, 10)
+    if columns is not None and len(columns) <= _PLANE_COLUMNS or len(s._slots[0]) <= _BLOCK * s._slots[1]:
+        total = s.value()  # one block, its value kept for a later check of the same columns
         if total < 0:
             raise ValueError("signed digit string has negative total value")
         return _valid_by_construction(tuple(_decimal_digits(total)))

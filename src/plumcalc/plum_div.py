@@ -34,7 +34,7 @@ kernel's :class:`SignedDigitString` ``W`` in the trace, which builds its
 ``steps`` from ``W``'s columns, and each step its terms, when first read.  The
 terms are ``(kind, i, j, value)`` of divisor digits ``b[i]`` against quotient
 digits ``c[j]`` (0-indexed here) along one diagonal ``i + j``, from
-``cross_mul._diagonal_terms``, the builder of the multiplication terms too:
+``cross_mul._diagonal_terms``, on the rows the multiplication terms use too:
 
 * plum ``pp0``: residues on ``i + j == n-1`` with ``i >= 1``, and carries on
   ``i + j == n`` with ``i >= 2``;

@@ -1,9 +1,11 @@
 """Plain-text rendering of multiplication and division traces.
 
 Multiplication renders one line per column (its terms and total), then the
-signed column tuple, then the final product.  Division renders the classic
-vertical tableau: quotient line, ``divisor ) dividend`` line, then one value
-per line, right-aligned so that every row of step ``n`` ends underneath
+signed column tuple, then the final product.  A column's term text is a strided
+slice of one grid of pair texts per term kind, read by ``cross_mul._layout_cells``
+as ``MulTrace.columns`` reads values, so no term is built.  Division renders the
+classic vertical tableau: quotient line, ``divisor ) dividend`` line, then one
+value per line, right-aligned so that every row of step ``n`` ends underneath
 dividend digit ``n``.  Negative subtrahends carry a leading minus sign.
 
 Rendering is deterministic: equal traces produce byte-identical text.  With
@@ -15,9 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain
 
-from .cross_mul import _PAIR_TABLES, MulTrace, _diagonal_cells, _term_layout
+from .cross_mul import _PAIR_TABLES, MulTrace, _layout_cells, _term_layout
 from .digit_string import _decimal_text
 from .plum_div import DivisionTrace
 
@@ -53,10 +54,9 @@ _FORMATS = {
 
 @cache
 def _pair_texts(ascii_only: bool) -> dict[str, tuple]:
-    """Text of every digit pair of each term kind, ``texts[kind][x][y]``; wedge is ``[a][b][c]``.
+    """Text of each entry of ``cross_mul._PAIR_TABLES``, ``texts[kind][x][y]`` (wedge: ``[a][b][c]``).
 
-    Each text formats an entry of ``cross_mul._PAIR_TABLES``.  Built on first
-    use, once per symbol set, and shared by every later render.
+    Built on first use, once per symbol set, and shared by every later render.
     """
     club, bowtie, times = _symbols(ascii_only)
 
@@ -71,19 +71,16 @@ def _pair_texts(ascii_only: bool) -> dict[str, tuple]:
 def render_mul(trace: MulTrace, ascii_only: bool = False) -> RenderedTrace:
     """One line per column (its terms, from the operands, and its signed total), then the columns and the product."""
     times = _symbols(ascii_only)[2]
-    xs, ys, layout = _term_layout(trace)
-    ys_reversed = ys[::-1]
+    lines = [f"{trace.a} {times} {trace.b}  [{trace.method}]"]
     texts = _pair_texts(ascii_only) if trace.radix_power == 1 else None
-    header = f"{trace.a} {times} {trace.b}  [{trace.method}]"
-    if trace.radix_power > 1:
-        header += f" (segments of {trace.radix_power})"
-    lines = [header]
-    for k, (parts, total) in enumerate(zip(layout, trace.signed.columns)):
-        cells = chain.from_iterable(_diagonal_cells(kind, xs, ys_reversed, d, texts)[1] for kind, d in parts)
-        if texts is None:  # segment pairs, which no table holds and whose values may be past the int/str limit
-            form = _FORMATS["product"]
-            cells = (form.format(_decimal_text(x), _decimal_text(y), value=_decimal_text(x * y), times=times)
-                     for x, y in cells)
+    if texts is None:
+        lines[0] += f" (segments of {trace.radix_power})"
+
+    def segment_text(x: int, y: int) -> str:  # no table holds segments, whose values may pass the int/str limit
+        return _FORMATS["product"].format(_decimal_text(x), _decimal_text(y), value=_decimal_text(x * y), times=times)
+
+    columns = _layout_cells(*_term_layout(trace), texts, segment_text)
+    for k, ((_, cells), total) in enumerate(zip(columns, trace.signed.columns)):
         lines.append(f"  col {k}: {', '.join(cells) or '0'} = {_decimal_text(total)}")
     lines.append(f"  columns: {trace.signed}")
     lines.append(f"  product: {trace.product}")

@@ -135,10 +135,10 @@ def test_every_method_at_1000_digits():
 
 
 def test_bench_builds_no_trace_terms(monkeypatch):
-    def unavailable(trace):
+    def unavailable(*args):
         raise AssertionError("bench must not build trace terms")
 
-    monkeypatch.setattr("plumcalc.cross_mul._diagonal_terms", unavailable)
+    monkeypatch.setattr("plumcalc.cross_mul._terms", unavailable)  # the one builder of terms
     metrics = run_bench(sizes=[1, 5], trials=2, seed=3)
     assert len(metrics) == 2 * len(BENCH_METHODS)
 

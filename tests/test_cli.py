@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import argparse
 import random
+import re
+import shlex
 import sys
+from pathlib import Path
 
 import pytest
 from int_limits import int_digit_limit
@@ -23,6 +26,18 @@ def run(capsys, *argv: str) -> tuple[int, str, str]:
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
+
+
+def test_readme_command_examples_print_their_annotated_results(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = [line.split("# ->") for line in block.splitlines() if "# ->" in line]
+    assert len(examples) >= 4  # the block still holds its annotated examples
+    for command, annotation in examples:
+        program, *argv = shlex.split(command)
+        expected = re.split(r"\s{2,}", annotation.strip())[0]  # a note follows the result after two spaces
+        assert program == "plumcalc"
+        assert run(capsys, *argv) == (0, expected + "\n", ""), command
 
 def test_club(capsys):
     code, out, _ = run(capsys, "club", "3", "7")

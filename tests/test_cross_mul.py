@@ -14,6 +14,8 @@ from plumcalc import cross_mul, digit_string, plum_div
 from plumcalc.bench import metrics_to_csv, run_bench
 from plumcalc.cross_mul import (
     MUL_METHODS,
+    _diagonal_terms,
+    _term_layout,
     cross_sum,
     plum_mul,
     rapid_mul,
@@ -214,6 +216,37 @@ def all_traces(a: DigitString, b: DigitString):
 def test_kernel_columns_equal_term_totals(x, y):
     for trace in all_traces(ds(x), ds(y)):
         assert tuple(c.total for c in trace.columns) == trace.signed.columns, trace.method
+
+
+def _terms_one_diagonal_at_a_time(trace) -> list[list]:
+    """Each column's terms read by ``_diagonal_terms``, the division steps' reader, over ``_term_layout``'s parts."""
+    xs, ys, layout = _term_layout(trace)
+    return [[term for kind, k in parts for term in _diagonal_terms(kind, xs, ys[::-1], k)] for parts in layout]
+
+
+def _assert_both_readers_agree(a: DigitString, b: DigitString) -> None:
+    traces = [fn(a, b)[1] for fn in MUL_METHODS.values()] + [rapid_mul(a, b, s)[1] for s in (2, 3, 9)]
+    traces.append(wedge_mul_single(a, b[0])[1])
+    for trace in traces:
+        assert [list(c.terms) for c in trace.columns] == _terms_one_diagonal_at_a_time(trace), trace
+        assert tuple(c.total for c in trace.columns) == trace.signed.columns, trace
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [(0, 0), (0, 7), (7, 0), (0, 98765), (3, 4), (9, 9), (7, 98765), (98765, 7), (12, 3), (3, 12), (10**30, 1)]
+    + [(int("9" * n), int("8" * m)) for n, m in [(2, 2), (1, 17), (17, 1), (16, 17), (40, 3), (3, 40)]],
+)
+def test_whole_trace_reader_matches_the_one_diagonal_reader(x, y):
+    # 1-digit factors either way round, a 1x1 plum product, zero operands, and a
+    # segment longer than either operand
+    _assert_both_readers_agree(ds(x), ds(y))
+
+
+@settings(max_examples=120, deadline=None)
+@given(numerals(48), numerals(48))
+def test_whole_trace_reader_matches_the_one_diagonal_reader_at_random(x, y):
+    _assert_both_readers_agree(ds(x), ds(y))
 
 
 @settings(max_examples=40, deadline=None)

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import random
 
 import pytest
 
-from plumcalc import equivalence, plum_div
-from plumcalc.cross_mul import MUL_METHODS, plum_mul, wedge_mul_single
+from plumcalc import digit_string, equivalence, plum_div
+from plumcalc.cross_mul import MUL_METHODS, plum_mul, rapid_mul, wedge_mul, wedge_mul_single
 from plumcalc.digit_string import DigitString, SignedDigitString
 from plumcalc.oracle import Nat
 
@@ -187,3 +188,53 @@ def test_a_quotient_wrong_only_by_one_is_named_by_the_one_sided_sweep(monkeypatc
     report = equivalence.verify_div_equivalence(limit=2, random_pairs=1, seed=7)[1]
     assert report.law == "div-equiv-one-sided"
     assert list(report.violations) == [((a, divisor), a // divisor, a // divisor + 1) for a in range(10_000)]
+
+
+def _count_column_evaluations(monkeypatch) -> list[str]:
+    """The name of every call of ``_horner`` and ``_plane_value``, the two readers of a column sequence's value."""
+    calls = []
+    for name in ("_horner", "_plane_value"):
+        def counted(*args, real=getattr(digit_string, name), name=name):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(digit_string, name, counted)
+    return calls
+
+
+def _digits(length: int, seed: int) -> DigitString:
+    rng = random.Random(seed)
+    return DigitString((rng.randint(1, 9),) + tuple(rng.randint(0, 9) for _ in range(length - 1)))
+
+
+@pytest.mark.parametrize(
+    "a, b, reader",
+    [
+        (DigitString.from_int(56789), DigitString.from_int(369), "_horner"),
+        (_digits(200, 1), _digits(100, 2), "_plane_value"),
+    ],
+    ids=["basecase", "packed"],
+)
+def test_a_division_and_its_check_evaluate_the_chain_sum_once(monkeypatch, a, b, reader):
+    calls = _count_column_evaluations(monkeypatch)
+    q, r, trace = plum_div.divmod(a, b)  # the chain check inside divmod reads the kernel's columns once
+    # the sweep's check still compares with b*q from the operands, not with anything the trace holds
+    assert trace.pp_reconstruction() == int(b) * (int(a) // int(b))
+    assert calls == [reader]
+
+
+@pytest.mark.parametrize(
+    "a, b, reader",
+    [
+        (DigitString.from_int(386), DigitString.from_int(47), "_horner"),
+        (_digits(40, 3), _digits(40, 4), "_plane_value"),
+    ],
+    ids=["basecase", "packed"],
+)
+def test_a_product_and_its_column_check_evaluate_the_columns_once(monkeypatch, a, b, reader):
+    calls = _count_column_evaluations(monkeypatch)
+    for method in (plum_mul, wedge_mul, rapid_mul):
+        calls.clear()
+        product, trace = method(a, b)  # normalize reads the columns' value once
+        assert trace.column_value() == int(a) * int(b) == int(product)
+        assert calls == [reader], method.__name__

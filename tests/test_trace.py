@@ -188,7 +188,7 @@ def test_render_mul_builds_no_terms(monkeypatch):
     def unavailable(*args, **kwargs):
         raise AssertionError("render_mul must not build terms")
 
-    monkeypatch.setattr(cross_mul, "_diagonal_terms", unavailable)
+    monkeypatch.setattr(cross_mul, "_terms", unavailable)  # the one builder of terms
     traces = _traces(ds(97531), ds(8642), segments=(2,)) + _traces(ds(0), ds(8642), segments=())
     traces.append(wedge_mul_single(ds(97531), 7)[1])
     for trace in traces:
@@ -205,7 +205,7 @@ def test_render_div_builds_no_terms(monkeypatch):
 
     for name in ("pp0_plum", "pp0_wedge", "pp1", "_diagonal_terms"):
         monkeypatch.setattr(plum_div, name, unavailable)
-    monkeypatch.setattr(cross_mul, "_diagonal_terms", unavailable)
+    monkeypatch.setattr(cross_mul, "_terms", unavailable)
     # a zero quotient, a quotient with a leading zero, and a one-digit divisor
     pairs = _short_cli_ladder() + [(ds(5), ds(369)), (ds(2728018), ds(3456)), (ds(987654321), ds(7))]
     traces = [plum_div.divmod(a, b, method)[2] for a, b in pairs for method in plum_div.DIV_METHODS]
