@@ -5,24 +5,28 @@ Subcommands: ``club``, ``carry``, ``wedge``, ``table``, ``mul``, ``div``,
 are always emitted ungrouped.  Exit codes: 0 success, 1 usage or parse error,
 2 verification failure or arithmetic error (division by zero).  Output is
 plain text with no styling, so NO_COLOR changes nothing.  ``mul --segment``
-is at most ``MAX_SEGMENT``, ``div --decimals`` at most ``MAX_DECIMALS``,
+is 1 to ``MAX_SEGMENT``, ``div --decimals`` at most ``MAX_DECIMALS``,
 ``verify --limit`` at most ``MAX_LIMIT`` and each ``bench --sizes`` value at
-most ``MAX_BENCH_SIZE``; larger values exit 1.
+most ``MAX_BENCH_SIZE``; other values exit 1.
 
 ``_COMMANDS`` describes the whole command line: each command's handler, help
-line, positionals and options.  One pass over ``argv`` reads it (``--opt
-value``, ``--opt=value``, unique prefixes, ``--``, options anywhere with the
-last repeat winning, ``-h`` or ``--help`` anywhere), and the usage and help
-texts are written from it only when they are printed.  The table is a
-constant, so calls share it unchanged.
+line, positionals and options.  A plain command line (the command, its
+positionals, and options by their full names as ``--opt value``,
+``--opt=value`` or flags, in any order, the last repeat winning) is read from
+the table directly.  Every other form, and all help, usage and usage errors,
+go to an argparse parser built once from the same table, so they follow the
+running interpreter's argparse: unique prefixes, ``--``, negative values,
+``-h``/``--help`` anywhere, and edge forms such as ``-hx`` (an error on
+Python 3.11, help on 3.13).  The table is a constant, so calls share it
+unchanged.
 """
 
 from __future__ import annotations
 
-import re
+import functools
 import sys
 from types import SimpleNamespace
-from typing import Any, Callable, NamedTuple, NoReturn, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from . import bench as bench_mod
 from . import plum_div
@@ -96,6 +100,8 @@ def _cmd_mul(args: SimpleNamespace) -> int:
     a, b = parse(args.a), parse(args.b)
     if args.method != "cross" and args.segment != 1:
         raise ValueError("--segment only applies to --method cross")
+    if args.segment < 1:
+        raise ValueError(f"--segment must be at least 1, got {args.segment}")
     if args.segment > MAX_SEGMENT:
         raise ValueError(f"--segment must be at most {MAX_SEGMENT}, got {args.segment}")
     if args.method == "oracle":
@@ -172,7 +178,7 @@ def _cmd_bench(args: SimpleNamespace) -> int:
         raise ValueError(f"--sizes must be at most {MAX_BENCH_SIZE}, got {max(args.sizes)}")
     metrics = bench_mod.run_bench(args.sizes, args.trials, args.seed, args.methods)
     csv_text = bench_mod.metrics_to_csv(metrics)
-    if args.csv:
+    if args.csv is not None:
         try:
             with open(args.csv, "w", newline="") as handle:
                 handle.write(csv_text)
@@ -266,184 +272,102 @@ _DEFAULTS = {
     name: {option[2:].replace("-", "_"): False if spec.flag else spec.default for option, spec in command.options.items()}
     for name, command in _COMMANDS.items()
 }
-_HELP = ("-h", "--help")
-# a token like this is a value (a negative number), not an option
-_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
-class _Stop(Exception):
-    """Parsing ends early for ``(command or None, message)``: a usage error, or help when the message is None."""
+def _plain_args(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The namespace of a plain command line, or None to leave the line to argparse.
 
-
-def _split_option(arg: str, command: str | None) -> tuple[str, str | None] | None:
-    """``(option, value after '=' or None)`` for an option token, ``("", None)`` if unknown; None for a value.
-
-    Long options may be abbreviated to any unique prefix, and ``-h`` may be
-    repeated in one token (``-hh``).
+    A plain line is a command, then exactly its positionals and options by
+    their full names, as ``--name value``, ``--name=value`` or a flag, in any
+    order.  Any other token starting with ``-`` (a prefix, ``--``, ``-h``), a
+    separate value starting with ``-``, ``=`` on a flag, a ``many`` option, a
+    bad type or choice and a missing or extra positional are not plain.
     """
-    if arg[:1] != "-" or arg == "-":
+    if not argv or argv[0] not in _COMMANDS:
         return None
-    if arg[1] != "-":
-        if arg[1] == "h":
-            return "-h", None if arg == "-h" else arg[3:] if arg[2] == "=" else arg[2:]
-        return None if _NEGATIVE_NUMBER.match(arg) or " " in arg else ("", None)
-    name, eq, value = arg.partition("=")
-    options = _COMMANDS[command].options if command else {}
-    if name not in options and name != "--help":
-        matches = [option for option in ("--help", *options) if option.startswith(name)]
-        if len(matches) > 1:
-            raise _Stop(command, f"ambiguous option: {arg} could match {', '.join(matches)}")
-        if not matches:
-            return None if " " in arg else ("", None)
-        name = matches[0]
-    return name, value if eq else None
-
-
-def _read(kind: Callable[[str], Any], text: str, argument: str, command: str, choices: tuple[str, ...] = ()) -> Any:
+    command = _COMMANDS[argv[0]]
+    values = dict(_DEFAULTS[argv[0]], command=argv[0])
+    texts: list[str] = []
+    tokens = iter(argv[1:])
     try:
-        value = kind(text)
-    except ValueError:  # the message may be Python's own, such as the int/str digit limit
-        raise _Stop(command, f"argument {argument}: invalid {kind.__name__} value: {text!r}") from None
-    if choices and value not in choices:
-        raise _Stop(command, f"argument {argument}: invalid choice: {text!r} (choose from {', '.join(map(repr, choices))})")
-    return value
-
-
-def _parse_args(argv: Sequence[str]) -> SimpleNamespace:
-    """Read ``argv`` against ``_COMMANDS`` in one pass.
-
-    Options come anywhere, as ``--name value`` or ``--name=value``, and the
-    last of a repeat wins; ``--`` makes every later token a value; ``-h`` or
-    ``--help`` anywhere asks for help.  Unknown options, extra positionals and
-    missing ones are reported once the whole line is read, so help still wins.
-    """
-    extras: list[str] = []
-    for start, arg in enumerate(argv):
-        option = None if arg == "--" else _split_option(arg, None)
-        if option is None:
-            break
-        if option[0] in _HELP:
-            _help_or_error(None, *option, ())
-        extras.append(arg)
-    else:
-        raise _Stop(None, "the following arguments are required: command")
-    name = arg
-    if name not in _COMMANDS:
-        raise _Stop(None, f"argument command: invalid choice: {name!r} (choose from {', '.join(map(repr, _COMMANDS))})")
-    command = _COMMANDS[name]
-    values = dict(_DEFAULTS[name], command=name)
-    given, after = 0, -1  # positionals read, and the index just past the last one
-    values_only = False
-    i, end = start + 1, len(argv)
-    while i < end:
-        arg = argv[i]
-        i += 1
-        if arg == "--" and not values_only:
-            values_only = True
-            if given == len(command.positionals) and after != i - 1:
-                extras.append(arg)  # "--" belongs to a positional beside it, if there is one
-            continue
-        option = None if values_only else _split_option(arg, name)
-        if option is None:
-            if given < len(command.positionals):
-                dest, kind = command.positionals[given]
-                values[dest] = _read(kind, arg, dest, name)
-                given, after = given + 1, i
-            else:
-                extras.append(arg)
-            continue
-        option, value = option
-        if option in _HELP:
-            _help_or_error(name, option, value, argv[i:])
-        spec = command.options.get(option)
-        if spec is None:
-            extras.append(arg)
-            continue
-        dest = option[2:].replace("-", "_")
-        if spec.flag:
-            if value is not None:
-                raise _Stop(name, f"argument {option}: ignored explicit argument {value!r}")
-            values[dest] = True
-            continue
-        if value is None:
-            stop, last = i, end if spec.many else min(i + 1, end)
-            while stop < last and argv[stop] != "--" and _split_option(argv[stop], name) is None:
-                stop += 1
-            if stop == i:
-                raise _Stop(name, f"argument {option}: expected {'at least one argument' if spec.many else 'one argument'}")
-            texts, i = argv[i:stop], stop
-        else:
-            texts = [value]
-        if spec.many:
-            values[dest] = [_read(spec.type, text, option, name, spec.choices) for text in texts]
-        else:
-            values[dest] = _read(spec.type, texts[0], option, name, spec.choices)
-    if given < len(command.positionals):
-        missing = ", ".join(dest for dest, _ in command.positionals[given:])
-        raise _Stop(name, f"the following arguments are required: {missing}")
-    if extras:
-        raise _Stop(name, f"unrecognized arguments: {' '.join(extras)}")
+        for arg in tokens:
+            if arg[:1] != "-":
+                texts.append(arg)
+                continue
+            option, eq, value = arg.partition("=")
+            spec = command.options.get(option)
+            if spec is None or spec.many or spec.flag and eq:
+                return None
+            dest = option[2:].replace("-", "_")
+            if spec.flag:
+                values[dest] = True
+                continue
+            if not eq:
+                value = next(tokens, "-")  # a missing value is left to argparse like a negative one
+            if value[:1] == "-":
+                return None
+            values[dest] = spec.type(value)
+            if spec.choices and values[dest] not in spec.choices:
+                return None
+        if len(texts) != len(command.positionals):
+            return None
+        for (dest, kind), text in zip(command.positionals, texts):
+            values[dest] = kind(text)
+    except ValueError:  # argparse names the bad value
+        return None
     return SimpleNamespace(**values)
 
 
-def _help_or_error(command: str | None, option: str, value: str | None, rest: Sequence[str]) -> NoReturn:
-    """Stop for help, unless the help option carries a value: ``-hh`` is help, ``-hx`` and ``--help=x`` are errors."""
-    if value is not None and (option != "-h" or not value or value.strip("h")):
-        raise _Stop(command, f"argument -h/--help: ignored explicit argument {value!r}")
-    for arg in rest:  # an ambiguous option anywhere before "--" is an error even after help
-        if arg == "--":
-            break
-        _split_option(arg, command)
-    raise _Stop(command, None)
+@functools.cache
+def _parser() -> tuple[Any, dict[str, Any]]:
+    """The argparse parser built from ``_COMMANDS``, and its subparsers by command.
+
+    It reads every line that is not plain, and prints all help, usage and
+    usage errors, so those follow the running interpreter's argparse.  It is
+    built on first use and then shared; parsing only reads it.
+    """
+    import argparse
+
+    parser = argparse.ArgumentParser(prog="plumcalc", description="Plum-blossom product and wedge product arithmetic")
+    commands = parser.add_subparsers(title="commands", dest="command", required=True)
+    subparsers = {}
+    for name, command in _COMMANDS.items():
+        sub = subparsers[name] = commands.add_parser(name, help=command.help, description=command.help)
+        for dest, kind in command.positionals:
+            sub.add_argument(dest, type=kind)
+        for option, spec in command.options.items():
+            if spec.flag:
+                sub.add_argument(option, action="store_true", help=spec.help)
+                continue
+            default = " ".join(map(str, spec.default)) if isinstance(spec.default, tuple) else spec.default
+            sub.add_argument(
+                option,
+                type=spec.type,
+                choices=spec.choices or None,
+                default=spec.default,
+                nargs="+" if spec.many else None,
+                metavar=spec.metavar or None,
+                help=spec.help if default is None else f"{spec.help} (default: {default})",
+            )
+    return parser, subparsers
 
 
-def _option_form(option: str, spec: _Option) -> str:
-    if spec.flag:
-        return option
-    name = spec.metavar or ("{" + ",".join(spec.choices) + "}" if spec.choices else option[2:].replace("-", "_").upper())
-    return f"{option} {name} [{name} ...]" if spec.many else f"{option} {name}"
-
-
-def _usage(command: str | None) -> str:
-    if command is None:
-        return f"usage: plumcalc [-h] {{{','.join(_COMMANDS)}}} ..."
-    spec = _COMMANDS[command]
-    words = ["[-h]", *(f"[{_option_form(option, o)}]" for option, o in spec.options.items()), *(p for p, _ in spec.positionals)]
-    return f"usage: plumcalc {command} {' '.join(words)}"
-
-
-def _rows(rows: list[tuple[str, str]]) -> str:
-    """Two columns: the text from column 24, or below a name longer than 20."""
-    text = ""
-    for name, about in rows:
-        text += (f"  {name:<22}{about}" if len(name) <= 20 else f"  {name}\n{'':24}{about}").rstrip() + "\n"
-    return text
-
-
-def _help(command: str | None) -> str:
-    rows = [("-h, --help", "show this help message and exit")]
-    if command is None:
-        commands = _rows([(f"  {name}", spec.help) for name, spec in _COMMANDS.items()])
-        return f"{_usage(None)}\n\nPlum-blossom product and wedge product arithmetic\n\ncommands:\n{commands}\noptions:\n{_rows(rows)}"
-    spec = _COMMANDS[command]
-    for option, o in spec.options.items():
-        default = " ".join(map(str, o.default)) if isinstance(o.default, tuple) else o.default
-        rows.append((_option_form(option, o), o.help if o.flag or default is None else f"{o.help} (default: {default})"))
-    positionals = f"positional arguments:\n{_rows([(p, '') for p, _ in spec.positionals])}\n" if spec.positionals else ""
-    return f"{_usage(command)}\n\n{spec.help}\n\n{positionals}options:\n{_rows(rows)}"
+def _parse_args(argv: Sequence[str]) -> Any:
+    """``argv`` read directly when plain, otherwise by argparse, which exits for help and usage errors."""
+    args = _plain_args(argv)
+    if args is None:
+        parser, subparsers = _parser()
+        args, extras = parser.parse_known_args(argv)
+        if extras:  # reported with the command's own usage line
+            subparsers[args.command].error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _parse_args(sys.argv[1:] if argv is None else argv)
-    except _Stop as stop:
-        command, message = stop.args
-        if message is None:
-            print(_help(command), end="")
-            return EXIT_OK
-        print(_usage(command), file=sys.stderr)
-        print(f"plumcalc{' ' + command if command else ''}: error: {message}", file=sys.stderr)
-        return EXIT_USAGE
+    except SystemExit as exc:  # argparse printed help (code 0) or a usage error
+        return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return _COMMANDS[args.command].run(args)
     except ValueError as exc:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import re
 import shlex
@@ -342,9 +343,10 @@ def test_cli_output_byte_identical(capsys):
 
 
 def test_parser_is_built_once(capsys):
-    # nothing is built per call: a call runs only the parse and its command,
-    # and neither usage nor help text is formatted unless it is printed
-    run(capsys, "mul", "348", "697")
+    # nothing is built per call: a plain line runs only its reader and its
+    # command, a line for argparse reuses the parser the first one built, and
+    # neither usage nor help text is formatted unless it is printed
+    run(capsys, "mul", "348", "697", "--meth", "plum")
     entered = set()
 
     def record(frame, event, arg):
@@ -353,11 +355,34 @@ def test_parser_is_built_once(capsys):
 
     sys.setprofile(record)
     try:
-        outputs = [run(capsys, "mul", "348", "697", "--method", "plum") for _ in range(3)]
+        outputs = [run(capsys, "mul", "348", "697", *form) for form in (["--method", "plum"], ["--meth", "plum"]) * 2]
     finally:
         sys.setprofile(None)
-    assert outputs == [(0, "242556\n", "")] * 3
-    assert entered == {"main", "_parse_args", "_split_option", "_read", "_cmd_mul"}
+    assert outputs == [(0, "242556\n", "")] * 4
+    assert entered == {"main", "_parse_args", "_plain_args", "_cmd_mul"}
+
+
+def test_plain_lines_never_build_or_import_argparse(capsys, monkeypatch):
+    def unavailable():
+        raise AssertionError("a plain line built the argparse parser")
+
+    monkeypatch.setattr(cli, "_parser", unavailable)
+    monkeypatch.setitem(sys.modules, "argparse", None)  # importing argparse now raises ImportError
+    a, b = "4711", "32"
+    for command, methods, answer in (("mul", MUL_METHODS, "150752"), ("div", plum_div.DIV_METHODS, "147 r 7")):
+        for method in methods:
+            for trace in ([], ["--trace"]):
+                expected = run(capsys, command, a, b, "--method", method, *trace)
+                assert expected[0] == 0 and expected[1].endswith(answer + "\n") and expected[2] == ""
+                shapes = [
+                    [command, "--method", method, *trace, a, b],
+                    [command, a, "--method", method, *trace, b],
+                    [command, a, b, *trace, f"--method={method}"],
+                    [command, *trace, a, f"--method={method}", b],
+                ]
+                for argv in shapes:
+                    assert run(capsys, *argv) == expected, argv
+                    assert vars(cli._parse_args(argv)) == vars(cli._parse_args([command, a, b, "--method", method, *trace]))
 
 
 HELP_ARGVS = [["--help"]] + [[command, "--help"] for command in cli._COMMANDS]
@@ -415,6 +440,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="plumcalc", description="Plum-blossom product and wedge product arithmetic")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -481,11 +507,11 @@ def reference_outcome(argv):
 
 
 def table_outcome(argv):
-    """``cli``'s parsed values, or the exit code ``main`` gives for its stop."""
+    """``cli``'s parsed values, or the exit code ``main`` gives when argparse exits."""
     try:
         return vars(cli._parse_args(argv))
-    except cli._Stop as stop:
-        return 0 if stop.args[1] is None else 1
+    except SystemExit as exc:
+        return 1 if exc.code else 0
 
 
 DIFFERENTIAL_ARGVS = [
@@ -537,6 +563,12 @@ DIFFERENTIAL_ARGVS = [
     ["verify", "--limit", "1_0", "--random-pairs", " 5 "],
     ["wedge", "-", "7 8"],
     ["carry", "--x y", "3"],
+    ["mul", "12", "34", "--method", "cross", "--segment", "-1_0"],
+    ["mul", "12", "34", "--method", "cross", "--segment=-2"],
+    ["bench", "--csv", "-x"],
+    ["bench", "--trials", "-1", "--csv=x=y"],
+    ["table", "3", "--ascii=", "--csv"],
+    ["div", "12", "34", "--decimals", "2", "--trace", "--method=wedge", "--ascii"],
 ]
 
 
@@ -547,6 +579,58 @@ def test_table_parser_matches_the_argparse_reference(argv, capsys):
     assert table_outcome(argv) == expected
 
 
+# every kind of token: values good and bad for each option, negative and
+# option-like values, '=' forms, prefixes, '--' and help
+FUZZ_VALUES = ["12", "0", "7", "1_0", " 5 ", "x", "", "-3", "-1_0", "-x", "-", "9" * 30, "plum", "cross", "all", "mul-equiv"]
+FUZZ_TOKENS = FUZZ_VALUES + ["--method", "--trace=1", "--ascii", "--csv=", "--sizes", "--meth", "--s", "--", "-h", "--help", "-hh", "mul"]
+
+
+def fuzz_argv(rng: random.Random) -> list[str]:
+    """A command with random positionals and options from its table, then a few random tokens inserted."""
+    name = rng.choice([*cli._COMMANDS, "nonsense"])
+    command = cli._COMMANDS.get(name, cli._COMMANDS["mul"])
+    words = [[rng.choice(FUZZ_VALUES)] for _ in command.positionals]
+    for option in rng.sample(list(command.options), rng.randrange(len(command.options) + 1)):
+        spec = command.options[option]
+        value = rng.choice([*spec.choices, *FUZZ_VALUES] if rng.random() < 0.3 else spec.choices or FUZZ_VALUES[:4])
+        words.append([option] if spec.flag else rng.choice([[option, value], [f"{option}={value}"]]))
+    rng.shuffle(words)
+    argv = [name] + [token for word in words for token in word]
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        argv.insert(rng.randrange(1, len(argv) + 1), rng.choice(FUZZ_TOKENS))
+    return argv
+
+
+def test_parser_matches_the_argparse_reference_at_random(capsys):
+    rng = random.Random(28)
+    plain = 0
+    for _ in range(3000):
+        argv = fuzz_argv(rng)
+        expected = reference_outcome(argv)
+        plain += cli._plain_args(argv) is not None
+        assert table_outcome(argv) == expected, argv
+        capsys.readouterr()
+    assert plain >= 600  # the plain reader is checked on many lines, not only argparse against itself
+
+
+def test_bench_empty_csv_path_is_a_usage_error(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for argv in (["bench", "--trials", "1", "--csv="], ["bench", "--sizes", "2", "--trials", "1", "--csv="]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("plumcalc: error: cannot write --csv : ") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_mul_segment_below_1_is_a_usage_error(capsys):
+    # the same message whatever the operands, before any method sees the segment
+    for a in ("0", "5"):
+        for segment in ("0", "-2"):
+            for form in (["--segment", segment], [f"--segment={segment}"]):
+                code, out, err = run(capsys, "mul", a, "5", "--method", "cross", *form)
+                assert (code, out, err) == (1, "", f"plumcalc: error: --segment must be at least 1, got {segment}\n")
+
+
 def test_huge_integer_option_is_a_usage_error(capsys):
     code, out, err = run(capsys, "mul", "12", "34", "--segment", "9" * 5000)
     assert (code, out) == (1, "")
@@ -554,13 +638,17 @@ def test_huge_integer_option_is_a_usage_error(capsys):
 
 
 def test_help_is_generated_from_the_table(capsys):
-    code, out, _ = run(capsys, "--help")
-    assert code == 0
+    def help_text(*argv):  # argparse wraps lines at the terminal width, so compare with spaces collapsed
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        return " ".join(out.split()) + " "
+
+    out = help_text("--help")
     for name, command in cli._COMMANDS.items():
         assert f" {name} " in out and command.help in out
     for name, command in cli._COMMANDS.items():
-        code, out, _ = run(capsys, name, "--help")
-        assert code == 0 and command.help in out
+        out = help_text(name, "--help")
+        assert command.help in out
         words = [positional for positional, _ in command.positionals]
         for option, spec in command.options.items():
             words += [option, spec.help, *spec.choices]
