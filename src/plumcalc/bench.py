@@ -72,7 +72,7 @@ def run_bench(
     seed: int,
     methods: Sequence[str] = BENCH_METHODS,
 ) -> list[BenchMetrics]:
-    """Run every (method, size) cell, checking each trial's product against ``int`` before counting.
+    """Run every distinct (method, size) cell once, checking each trial's product against ``int`` before counting.
 
     Operands are drawn from a per-(size, trial) seeded generator, so the
     result set is independent of execution order.  Output rows are sorted by
@@ -89,9 +89,9 @@ def run_bench(
             raise ValueError(f"unknown bench method {method!r}; expected subset of {BENCH_METHODS}")
 
     results = []
-    for method in sorted(methods):
+    for method in sorted(set(methods)):
         single = method == "wedge_single"
-        for size in sorted(sizes):
+        for size in sorted(set(sizes)):
             carry_count = kernel_ns = normalize_ns = col_sum = col_max = col_count = 0
             for trial in range(trials):
                 a = _random_digits(_seeded_rng(seed, method, size, trial, 0), size)

@@ -58,8 +58,9 @@ MAX_SEGMENT = 100000
 # one-sided sweeps' 10**4 range), from limit operands built up front
 MAX_LIMIT = 10000
 # a trial is one column-kernel call, its normalize and an int product check:
-# one trial of each method at this bound takes about 12 s, plum and wedge
-# 5-6 s each (CPython 3.11.7, 50 MB peak)
+# one trial of each method at this bound takes about 9 s, 8 s of it in the
+# kernels, plum's and wedge's about 4 s each (CPython 3.11.7, 2 vCPUs, 58 MB
+# peak, measured 2026-10-22)
 MAX_BENCH_SIZE = 100000
 
 

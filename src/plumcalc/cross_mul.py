@@ -460,6 +460,8 @@ def rapid_mul(a: DigitString, b: DigitString, seg_len: int = 1) -> tuple[DigitSt
     The operand with more segments plays the multiplicand, so the result has
     ``m + n - 1`` columns in radix ``10**seg_len`` whatever the argument order.
     """
+    if seg_len < 1:  # checked before a zero operand's short-cut, which never segments
+        raise ValueError(f"segment length must be positive, got {seg_len}")
     return _multiply("cross", a, b, seg_len)
 
 

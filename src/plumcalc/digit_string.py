@@ -10,12 +10,12 @@ This module is the package's one radix-conversion layer, and no step of it is
 quadratic in Python operations.  Signed columns in any radix (:func:`_horner`)
 are evaluated in leaves of ``_LEAF`` values and the leaves joined pairwise by
 cached powers ``radix**(_LEAF * 2**j)``.  A column kernel's two's-complement
-slot bytes, and radix-10 column tuples past ``_PLANE_COLUMNS`` packed once
-here, are read with no Python step per column (:func:`_plane_value`): each
-byte plane as decimal numerals by ``int``.  :func:`normalize` reads up to
-``_BLOCK`` radix-10 columns as one value, and longer ones in blocks of
-``_BLOCK`` from the least significant end, passing the carry up by one division
-by ``10**_BLOCK`` per block.  Digits and ``int`` meet through decimal text
+slot bytes are read with no Python step per column (:func:`_plane_value`):
+each byte plane as decimal numerals by ``int``.  A column tuple is never
+packed.  :func:`normalize` reads a tuple, or up to ``_BLOCK`` slots, as one
+value, and longer slots in blocks of ``_BLOCK`` from the least significant
+end, passing the carry up by one division by ``10**_BLOCK`` per block.
+Digits and ``int`` meet through decimal text
 (:func:`_text_value`, :func:`_decimal_text`): blocks of at most ``_BLOCK``
 digits go through ``int``/``str`` and are joined or split by cached powers
 ``10**(_BLOCK * 2**j)`` (divide-and-conquer radix conversion, Knuth, TAOCP
@@ -49,11 +49,11 @@ _DIGIT_VALUES = bytes(range(10))
 _LEAF = 16  # values per Horner leaf: a leaf of decimal digits stays below 10**16
 _BLOCK = 512  # digits per int/str call, below every int_max_str_digits limit
 _BLOCK_LIMIT = 10**_BLOCK
-# Radix-10 column tuples past this many are read by byte planes (_plane_value),
-# fewer by one Horner loop.  Measured on plum and wedge product columns (best of 7 x
-# 3000 calls, us, without -> with planes): _horner 4.3 -> 4.4 at 44 columns,
-# 4.9 -> 4.5 at 48.  The planes' fixed cost is about 3.5 us.
-_PLANE_COLUMNS = 48
+# Radix-10 values read by one Horner loop, where other radixes split past _LEAF,
+# so that short products' column tuples (5-35 columns on the CLI) stay one loop.
+# _horner, us, one loop vs leaves of 16 (best of 9 interleaved runs, Python
+# 3.11.7, 2 vCPUs): 1.57 vs 2.07 at 23 columns, 3.01 vs 4.51 at 47.
+_DECIMAL_LOOP = 48
 # bytes.translate tables: the hundreds, tens and ones digit of each byte value
 # as ASCII, and the same of a two's-complement top byte offset by 0x80
 _BYTE_PLACES = tuple(bytes(48 + b // place % 10 for b in range(256)) for place in (100, 10, 1))
@@ -93,16 +93,8 @@ def _slot_width(bound: int) -> int:
     return next((width for width in _SLOT_CODES if width >= need), need)
 
 
-def _pack(values: Sequence[int]) -> tuple[bytes, int]:
-    """``values`` as little-endian two's-complement slots of the narrowest width that holds them, and that width."""
-    width = _slot_width(2 * max(map(abs, values)))
-    if width in _SLOT_CODES:
-        return _packer(width, len(values)).pack(*values), width
-    return b"".join(v.to_bytes(width, "little", signed=True) for v in values), width
-
-
 def _unpack(raw: bytes, width: int) -> tuple[int, ...]:
-    """The values of ``raw``'s ``width``-byte slots, as ``_pack`` writes them: the one decoder of slot bytes."""
+    """The values of ``raw``'s little-endian two's-complement ``width``-byte slots: the one decoder of slot bytes."""
     if width in _SLOT_CODES:
         return _packer(width, len(raw) // width).unpack(raw)
     return tuple(int.from_bytes(raw[i : i + width], "little", signed=True) for i in range(0, len(raw), width))
@@ -136,11 +128,11 @@ def _plane_value(raw: bytes, width: int) -> int:
 def _horner(values: Sequence[int], radix: int) -> int:
     """Value of ``values`` (any sign) read most significant first as digits in ``radix``.
 
-    Up to ``_LEAF`` values, and up to ``_PLANE_COLUMNS`` radix-10 values, are
+    Up to ``_LEAF`` values, and up to ``_DECIMAL_LOOP`` radix-10 values, are
     one Horner loop.  Longer sequences are split into a high part and a low part
     of ``_LEAF * 2**j`` values, joined by a cached power of ``radix``.
     """
-    if len(values) <= _LEAF or radix == 10 and len(values) <= _PLANE_COLUMNS:
+    if len(values) <= _LEAF or radix == 10 and len(values) <= _DECIMAL_LOOP:
         total = 0
         for v in values:
             total = total * radix + v
@@ -242,7 +234,9 @@ def _valid_by_construction(digits: tuple[int, ...]) -> DigitString:
 class SignedDigitString:
     """Column sequence with weight ``10**(len-1-i)`` per column, carries unresolved.
 
-    ``columns`` and the packed form ``_slots`` (slot bytes and width) are each made from the other when first read.
+    An instance keeps the form it was built in, read by ``_horner`` or by byte
+    planes: a tuple of columns, or a column kernel's ``_slots`` (slot bytes and
+    width), from which ``columns`` is decoded when first read.
     """
 
     # held by an instance built from a tuple; one a column kernel built holds only its slots until this is read
@@ -253,17 +247,12 @@ class SignedDigitString:
         # frozen dataclass pays one object.__setattr__ call per field
         self.__dict__["columns"] = columns
 
-    @cached_property
-    def _slots(self) -> tuple[bytes, int]:
-        return _pack(self.columns)
-
     def value(self) -> int:
         """The columns read in radix 10 (not a segment trace's product), kept for ``normalize`` and checks to share."""
         fields = self.__dict__
         if "_value" not in fields:
-            columns = fields.get("columns")  # None while only the slots are held
-            short = columns is not None and len(columns) <= _PLANE_COLUMNS  # one Horner loop, else byte planes
-            fields["_value"] = _horner(columns, 10) if short else _plane_value(*self._slots)
+            slots = fields.get("_slots")
+            fields["_value"] = _horner(self.columns, 10) if slots is None else _plane_value(*slots)
         return fields["_value"]
 
     def __len__(self) -> int:
@@ -363,20 +352,22 @@ def normalize(s: SignedDigitString, radix_power: int = 1) -> DigitString:
     """Value-preserving conversion of a signed column sequence to canonical digits.
 
     Columns in radix ``10**radix_power`` take ``normalize_stats``' carry loop.
-    Radix-10 columns are read as ``s.value()`` reads them, byte planes in blocks
-    of ``_BLOCK`` from the least significant end: a block's value plus the carry
-    from the block below is split by ``10**_BLOCK`` into its digits and the
-    carry passed up, so the work stays linear in the column count.
+    Radix-10 columns built as a tuple, or up to ``_BLOCK`` slots, are read as
+    one value by ``s.value()``: a tuple whole at any length (the basecase
+    kernels make at most 257 columns).  Longer slots are read by byte planes in
+    blocks of ``_BLOCK`` from the least significant end: a block's value plus
+    the carry from the block below is split by ``10**_BLOCK`` into its digits
+    and the carry passed up, so the work stays linear in the column count.
     """
     if radix_power != 1:
         return normalize_stats(s, radix_power)[0]
-    columns = s.__dict__.get("columns")  # None while only the slots are held
-    if columns is not None and len(columns) <= _PLANE_COLUMNS or len(s._slots[0]) <= _BLOCK * s._slots[1]:
-        total = s.value()  # one block, its value kept for a later check of the same columns
+    slots = s.__dict__.get("_slots")  # None for an instance built from a tuple
+    if slots is None or len(slots[0]) <= _BLOCK * slots[1]:
+        total = s.value()  # one value, kept for a later check of the same columns
         if total < 0:
             raise ValueError("signed digit string has negative total value")
         return _valid_by_construction(tuple(_decimal_digits(total)))
-    raw, width = s._slots
+    raw, width = slots
     size = _BLOCK * width  # bytes per block
     blocks = []  # least significant first
     carry = 0

@@ -251,7 +251,7 @@ def divmod(a: DigitString, b: DigitString, method: str = "plum") -> tuple[DigitS
         quotient = _valid_by_construction((0,))
         return quotient, a, DivisionTrace(method, a, b, quotient, (), a, SignedDigitString(()))
     c = tuple(_decimal_digits(q, s - t + 1))
-    columns = _wedge_columns(b.digits[1:], c) if t > 1 else SignedDigitString((0,) * s)
+    columns = _wedge_columns(b.digits[1:], c)  # a one-digit divisor's: s zero columns
     # a >= 10**(s-1) and b < 10**t, so q has at least s - t digits: c has at most one leading zero
     quotient = _valid_by_construction(c[1:] if c[0] == 0 else c)
     trace = DivisionTrace(method, a, b, quotient, c, DigitString.from_int(r), columns)

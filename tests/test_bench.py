@@ -32,6 +32,12 @@ def test_run_bench_shape_and_order():
     assert all(m.trials == 3 for m in metrics)
 
 
+def test_run_bench_runs_each_distinct_cell_once():
+    metrics = run_bench(sizes=[4, 8, 4], trials=1, seed=7, methods=["cross", "plum", "cross"])
+    assert [(m.method, m.size) for m in metrics] == [("cross", 4), ("cross", 8), ("plum", 4), ("plum", 8)]
+    assert untimed(metrics) == untimed(run_bench(sizes=[4, 8], trials=1, seed=7, methods=["cross", "plum"]))
+
+
 def test_same_seed_gives_identical_counts():
     a = run_bench(sizes=[4, 8], trials=4, seed=42)
     b = run_bench(sizes=[4, 8], trials=4, seed=42)

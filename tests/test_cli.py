@@ -328,6 +328,12 @@ def test_bench_csv_stdout_and_file(capsys, tmp_path):
     assert target.read_text().startswith("method,size,trials")
 
 
+def test_bench_repeated_sizes_and_methods_print_each_row_once(capsys):
+    code, out, _ = run(capsys, "bench", "--sizes", "4", "4", "--methods", "cross", "cross", "--trials", "1")
+    assert code == 0
+    assert [line.split(",")[:2] for line in out.splitlines()] == [["method", "size"], ["cross", "4"]]
+
+
 def test_bench_csv_unwritable_path_is_a_usage_error(capsys, tmp_path):
     target = tmp_path / "missing" / "bench.csv"
     code, out, err = run(capsys, "bench", "--sizes", "2", "--trials", "1", "--methods", "plum", "--csv", str(target))

@@ -84,6 +84,14 @@ def test_segment_invariance():
         assert int(normalize(cols, length)) == 987654 * 321
 
 
+def test_rapid_mul_rejects_a_segment_length_below_1():
+    # the same message whether or not an operand is zero, whose columns are never segmented
+    for a in (0, 3):
+        for length in (0, -2):
+            with pytest.raises(ValueError, match=f"^segment length must be positive, got {length}$"):
+                rapid_mul(ds(a), ds(5), length)
+
+
 def test_plum_mul_worked_columns():
     product, trace = plum_mul(ds(386), ds(47))
     assert trace.signed.columns == (17, 12, -6, 2)
@@ -544,9 +552,8 @@ def kernel_outputs(a: DigitString, b: DigitString, monkeypatch):
     for method in plum_div.DIV_METHODS:
         q, _, trace = plum_div.divmod(dividend, b, method)
         assert trace.pp_reconstruction() == dataclasses.replace(trace).pp_reconstruction() == int(b) * int(q)
-        if len(b) > 1:  # a one-digit divisor's kernel columns are all zero, and no kernel is called
-            assert trace._columns is divisions[-1]
-            outputs.append((1, divisions[-1]))
+        assert trace._columns is divisions[-1]  # a one-digit divisor's too: len(a) zero columns
+        outputs.append((1, divisions[-1]))
     monkeypatch.setattr(plum_div, "_wedge_columns", kernel)
     return outputs
 

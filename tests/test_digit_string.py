@@ -10,24 +10,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from int_limits import int_digit_limit
+from plumcalc import digit_string
 from plumcalc.digit_string import (
     _BLOCK,
     _LEAF,
+    _DECIMAL_LOOP,
     _NUMERAL_BYTES,
-    _PLANE_COLUMNS,
     DigitString,
     SegmentString,
     SignedDigitString,
     _decimal_digits,
     _decimal_text,
     _horner,
-    _pack,
     _plane_value,
+    _split,
     normalize,
     normalize_stats,
     parse,
     segment,
 )
+from slot_bytes import packed
 from strategies import numerals
 
 
@@ -216,9 +218,9 @@ def assert_normalize_matches_reference(columns, radix_power):
     assert normalize(s, radix_power) == expected[0]
 
 
-@pytest.mark.parametrize("count", [_LEAF - 1, _LEAF, _LEAF + 1, 36, _PLANE_COLUMNS, _PLANE_COLUMNS + 1])
+@pytest.mark.parametrize("count", [_LEAF - 1, _LEAF, _LEAF + 1, 36, _DECIMAL_LOOP, _DECIMAL_LOOP + 1])
 def test_normalize_matches_the_reference_loop_around_the_leaf_size(count):
-    # up to _PLANE_COLUMNS radix-10 columns are one Horner loop, byte planes beyond
+    # up to _DECIMAL_LOOP radix-10 columns are one Horner loop, leaves of _LEAF beyond
     rng = random.Random(count)
     columns = [rng.randrange(-99, 100) for _ in range(count)]
     # leading columns of ±3 * 10**30 fix the total's sign, small ones may not, and 0 leaves a leading zero column
@@ -296,23 +298,36 @@ def test_horner_matches_the_plain_loop_on_signed_values(length, radix):
     assert _horner((), radix) == 0
 
 
-# either side of the byte-plane crossover and of one and two 512-column blocks
-PLANE_LENGTHS = (_PLANE_COLUMNS, _PLANE_COLUMNS + 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK, 2 * _BLOCK + 1)
+@pytest.mark.parametrize(
+    "length, leaf, low",
+    [(17, 16, 16), (32, 16, 16), (33, 16, 32), (40, 16, 32), (65, 16, 64), (513, 512, 512), (1024, 512, 512), (1025, 512, 1024)],
+)
+def test_split_takes_the_largest_leaf_times_a_power_of_two_below_the_length(length, leaf, low):
+    assert _split(length, leaf) == low
+
+
+# either side of a tuple's one radix-10 Horner loop and of one and two 512-column blocks
+PLANE_LENGTHS = (_DECIMAL_LOOP, _DECIMAL_LOOP + 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK, 2 * _BLOCK + 1)
 # digits, the largest 2-byte column, the first past 2, 4 and 8 bytes, and one past 64 bits
 PLANE_EXTREMES = (9, 2**15 - 1, 2**15, 2**31, 2**63, 3 * 2**64 + 5)
 
 
-def assert_planes_match_the_loops(columns):
-    """``_horner(columns, 10)`` equals the plain loop, and ``normalize`` gives ``normalize_stats``' digits or error."""
-    s = SignedDigitString(tuple(columns))
-    assert _horner(s.columns, 10) == horner_reference(s.columns, 10)
+def assert_reads_match_the_loops(s, columns):
+    """``normalize(s)`` gives ``normalize_stats``' digits or error, and ``s.value()`` the plain loop's on ``columns``."""
     try:
         expected = normalize_stats(s)[0]
     except ValueError as exc:
         with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
             normalize(s)
-        return
-    assert normalize(s) == expected
+    else:
+        assert normalize(s) == expected
+    assert s.value() == horner_reference(columns, 10)
+
+
+def assert_planes_match_the_loops(columns):
+    """The reads match the loops on ``columns`` built as a tuple (``_horner``, ``_decimal_text``) and as slots (byte planes)."""
+    assert_reads_match_the_loops(SignedDigitString(tuple(columns)), columns)
+    assert_reads_match_the_loops(packed(columns), columns)
 
 
 @pytest.mark.parametrize("extreme", PLANE_EXTREMES)
@@ -342,7 +357,7 @@ def test_byte_planes_skip_an_all_zero_top_plane(count):
     rng = random.Random(count)
     columns = [rng.randrange(2**23) for _ in range(count)]
     columns[rng.randrange(count)] = 2**23 - 1
-    raw, width = _pack(columns)
+    raw, width = packed(columns)._slots
     assert width == 4 and not raw[3::4].strip(b"\0")
     assert _plane_value(raw, width) == horner_reference(columns, 10)
     with int_digit_limit(640):
@@ -350,10 +365,28 @@ def test_byte_planes_skip_an_all_zero_top_plane(count):
         assert_planes_match_the_loops([0] * (count - 1) + [2**16])
         # a negative column fills the top plane again; a negative total still raises
         assert_planes_match_the_loops([-1, *columns[1:]])
-        with pytest.raises(ValueError, match=r"^signed digit string has negative total value$"):
-            normalize(SignedDigitString((-(10**8), *columns[1:])))
+        for negative in (SignedDigitString((-(10**8), *columns[1:])), packed((-(10**8), *columns[1:]))):
+            with pytest.raises(ValueError, match=r"^signed digit string has negative total value$"):
+                normalize(negative)
         # and so does one column that needs all 4 bytes
         assert_planes_match_the_loops([*columns[:-1], 2**31 - 1])
+
+
+@pytest.mark.parametrize("count", [_DECIMAL_LOOP + 1, 257, _BLOCK + 1, 2 * _BLOCK + 1])
+def test_a_column_tuple_is_read_whole_and_never_packed(count, monkeypatch):
+    # a basecase kernel makes at most 257 columns; a caller's tuple of any
+    # length is read by _horner, and neither value() nor normalize packs it
+    def unreachable(raw, width):
+        raise AssertionError("a column tuple was read by byte planes")
+
+    monkeypatch.setattr(digit_string, "_plane_value", unreachable)
+    rng = random.Random(count)
+    columns = [rng.randint(-99, 99) for _ in range(count)]
+    with int_digit_limit(640):
+        for lead in (10**30, 1, 0, -1, -(10**30)):
+            s = SignedDigitString((lead, *columns[1:]))
+            assert_reads_match_the_loops(s, s.columns)
+            assert "_slots" not in s.__dict__
 
 
 @pytest.mark.parametrize("length", EDGE_LENGTHS)
