@@ -155,7 +155,7 @@ def _print_reports(reports: list[LawReport]) -> bool:
 
 
 def _cmd_verify(args: SimpleNamespace) -> int:
-    # smaller values leave a sweep with no cases, which would print PASS having checked nothing
+    # smaller values leave a sweep with no cases, which would FAIL without saying why
     if args.limit < 2:
         raise ValueError(f"--limit must be at least 2, got {args.limit}")
     if args.limit > MAX_LIMIT:

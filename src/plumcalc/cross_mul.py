@@ -52,6 +52,7 @@ from .digit_core import _CARRY10, _CLUB10, _WEDGE10
 from .digit_string import (
     DigitString,
     SignedDigitString,
+    _direct_init,
     _from_slots,
     _horner,
     _slot_width,
@@ -96,6 +97,7 @@ class ColumnBreakdown:
     total: int
 
 
+@_direct_init
 @dataclass(frozen=True, init=False)
 class MulTrace:
     """Record of one multiplication: signed columns and final digits.
@@ -112,23 +114,6 @@ class MulTrace:
     radix_power: int
     signed: SignedDigitString
     product: DigitString
-
-    def __init__(
-        self,
-        method: str,
-        a: DigitString,
-        b: DigitString,
-        radix_power: int,
-        signed: SignedDigitString,
-        product: DigitString,
-    ) -> None:
-        fields = self.__dict__  # stored directly, as in ``SignedDigitString.__init__``
-        fields["method"] = method
-        fields["a"] = a
-        fields["b"] = b
-        fields["radix_power"] = radix_power
-        fields["signed"] = signed
-        fields["product"] = product
 
     @cached_property
     def columns(self) -> tuple[ColumnBreakdown, ...]:

@@ -175,8 +175,9 @@ class LawReport:
     """Result of brute-forcing one law over its full finite domain.
 
     ``violations`` holds (inputs, expected, actual) triples; the law holds on
-    its stated domain exactly when the list is empty.  ``detail`` carries any
-    value the verifier records beyond pass/fail (extrema, attainment sets).
+    its stated domain exactly when the list is empty and the domain is not: a
+    sweep that checked nothing does not pass.  ``detail`` carries any value the
+    verifier records beyond pass/fail (extrema, attainment sets).
     """
 
     law: str
@@ -186,7 +187,7 @@ class LawReport:
 
     @property
     def holds(self) -> bool:
-        return not self.violations
+        return self.domain_size > 0 and not self.violations
 
 
 def _sweep(law: str, cases: Iterable[tuple[Callable[..., int], Any, Any]], detail: str = "") -> LawReport:

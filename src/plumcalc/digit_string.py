@@ -27,8 +27,9 @@ accepts, so numerals of any length convert under any limit.
 from __future__ import annotations
 
 import builtins
+import operator
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dataclass_fields
 from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
 
@@ -197,6 +198,7 @@ class DigitString:
 
     @classmethod
     def from_int(cls, value: int) -> DigitString:
+        value = operator.index(value)  # a bool reads as its int; a float or a string raises TypeError
         if value < 0:
             raise ValueError(f"digit strings represent non-negative integers, got {value}")
         return _valid_by_construction(tuple(_decimal_digits(value)))
@@ -230,6 +232,25 @@ def _valid_by_construction(digits: tuple[int, ...]) -> DigitString:
     return ds
 
 
+def _direct_init(cls: type) -> type:
+    """Give the frozen dataclass ``cls`` an ``__init__`` that stores its fields straight into the instance dict.
+
+    The generated ``__init__`` of a frozen dataclass pays one
+    ``object.__setattr__`` call per field, about 1 us a record; this one takes
+    the same arguments in field order, and is generated from the field names as
+    ``dataclasses`` generates its own.
+    """
+    names = [f.name for f in dataclass_fields(cls)]
+    stores = "".join(f"\n    fields[{name!r}] = {name}" for name in names)
+    source = f"def __init__(self, {', '.join(names)}):\n    fields = self.__dict__{stores}"
+    namespace = {"__name__": cls.__module__}
+    exec(compile(source, f"<{cls.__qualname__}.__init__>", "exec"), namespace)
+    cls.__init__ = namespace["__init__"]
+    cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+    return cls
+
+
+@_direct_init
 @dataclass(frozen=True, init=False)
 class SignedDigitString:
     """Column sequence with weight ``10**(len-1-i)`` per column, carries unresolved.
@@ -241,11 +262,6 @@ class SignedDigitString:
 
     # held by an instance built from a tuple; one a column kernel built holds only its slots until this is read
     columns: tuple[int, ...] = cached_property(lambda self: _unpack(*self._slots))
-
-    def __init__(self, columns: tuple[int, ...]) -> None:
-        # stored straight into the instance dict: the generated __init__ of a
-        # frozen dataclass pays one object.__setattr__ call per field
-        self.__dict__["columns"] = columns
 
     def value(self) -> int:
         """The columns read in radix 10 (not a segment trace's product), kept for ``normalize`` and checks to share."""

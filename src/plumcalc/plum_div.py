@@ -58,12 +58,14 @@ from .digit_string import (
     SignedDigitString,
     _decimal_digits,
     _decimal_text,
+    _direct_init,
     _has_stray_digit,
     _valid_by_construction,
 )
 
 __all__ = ["DivisionStep", "DivisionTrace", "pp0_plum", "pp0_wedge", "pp1", "divmod", "div_decimal", "DIV_METHODS"]
 
+@_direct_init
 @dataclass(frozen=True, init=False)
 class DivisionStep:
     """One step of the division loop.
@@ -86,29 +88,6 @@ class DivisionStep:
     remainder: int
     division: tuple[str, DigitString, tuple[int, ...]] = field(repr=False, compare=False)
 
-    def __init__(
-        self,
-        index: int,
-        digit: int,
-        interim: int,
-        pp0: int,
-        after_pp0: int,
-        quotient_digit: int | None,
-        pp1: int | None,
-        remainder: int,
-        division: tuple[str, DigitString, tuple[int, ...]],
-    ) -> None:
-        fields = self.__dict__  # stored directly, as in ``SignedDigitString.__init__``
-        fields["index"] = index
-        fields["digit"] = digit
-        fields["interim"] = interim
-        fields["pp0"] = pp0
-        fields["after_pp0"] = after_pp0
-        fields["quotient_digit"] = quotient_digit
-        fields["pp1"] = pp1
-        fields["remainder"] = remainder
-        fields["division"] = division
-
     @cached_property
     def pp0_terms(self) -> tuple[Term, ...]:
         """Terms of ``pp0`` in the division's method; their values sum to ``pp0``."""
@@ -123,6 +102,7 @@ class DivisionStep:
         return pp1(self.division[1], self.quotient_digit)[1]
 
 
+@_direct_init
 @dataclass(frozen=True, init=False)
 class DivisionTrace:
     """Complete record of one division, including a possibly zero-padded quotient."""
@@ -134,25 +114,6 @@ class DivisionTrace:
     quotient_digits: tuple[int, ...]
     remainder: DigitString
     _columns: SignedDigitString = field(repr=False, compare=False)  # the kernel's W; no columns for a zero quotient
-
-    def __init__(
-        self,
-        method: str,
-        dividend: DigitString,
-        divisor: DigitString,
-        quotient: DigitString,
-        quotient_digits: tuple[int, ...],
-        remainder: DigitString,
-        _columns: SignedDigitString,
-    ) -> None:
-        fields = self.__dict__  # stored directly, as in ``SignedDigitString.__init__``
-        fields["method"] = method
-        fields["dividend"] = dividend
-        fields["divisor"] = divisor
-        fields["quotient"] = quotient
-        fields["quotient_digits"] = quotient_digits
-        fields["remainder"] = remainder
-        fields["_columns"] = _columns
 
     @cached_property
     def steps(self) -> tuple[DivisionStep, ...]:

@@ -10,6 +10,7 @@ from plumcalc import digit_core
 from plumcalc.digit_core import (
     LAW_SUITES,
     WEDGE_MAX_EXCLUDING_NINE,
+    LawReport,
     carry,
     carry_closed_form,
     carry_split,
@@ -314,6 +315,13 @@ def test_verify_all_concatenates_every_suite():
     reports = verify_laws("all")
     assert len(reports) == sum(len(verify_laws(s)) for s in LAW_SUITES)
     assert all(r.holds for r in reports)
+
+
+def test_a_report_over_an_empty_domain_does_not_hold():
+    # every check has to be able to fail: one that checked nothing is no pass
+    assert not LawReport("empty", 0).holds
+    assert LawReport("one", 1).holds
+    assert not LawReport("one", 1, (((1,), 2, 3),)).holds
 
 
 def test_verify_laws_rejects_unknown_suite():

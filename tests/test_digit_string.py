@@ -143,6 +143,18 @@ def test_from_int_and_normalize_reject_with_their_messages():
         normalize(SignedDigitString((1,)), 0)
 
 
+@pytest.mark.parametrize("value, digits", [(True, (1,)), (False, (0,))])
+def test_from_int_reads_a_bool_as_its_int(value, digits):
+    assert DigitString.from_int(value).digits == digits
+
+
+@pytest.mark.parametrize("value", [1.5, 2.0, "12"])
+def test_from_int_rejects_values_that_are_not_integers(value):
+    # these once slipped past the unchecked construction: "True" became the digits (84, 114, 117, 101)
+    with pytest.raises(TypeError):
+        DigitString.from_int(value)
+
+
 signed_columns = st.lists(st.integers(min_value=-500, max_value=500), min_size=0, max_size=24)
 
 
@@ -370,6 +382,24 @@ def test_byte_planes_skip_an_all_zero_top_plane(count):
                 normalize(negative)
         # and so does one column that needs all 4 bytes
         assert_planes_match_the_loops([*columns[:-1], 2**31 - 1])
+
+
+@pytest.mark.parametrize("count", [_BLOCK + 1, 700, 2 * _BLOCK, 2 * _BLOCK + 1, 4 * _BLOCK])
+def test_normalize_reads_long_slots_in_blocks_of_at_most_block_slots(count, monkeypatch):
+    # past _BLOCK slots normalize reads one block at a time, so that no int
+    # call sees more than _BLOCK digits and the work stays linear
+    reads = []
+
+    def spy(raw, width):
+        reads.append(len(raw) // width)
+        return _plane_value(raw, width)
+
+    rng = random.Random(count)
+    columns = [rng.randint(12, 99), *(rng.randint(-99, 99) for _ in range(count - 1))]
+    expected = normalize_stats(SignedDigitString(tuple(columns)))[0]
+    monkeypatch.setattr(digit_string, "_plane_value", spy)
+    assert normalize(packed(columns)) == expected
+    assert reads and max(reads) <= _BLOCK
 
 
 @pytest.mark.parametrize("count", [_DECIMAL_LOOP + 1, 257, _BLOCK + 1, 2 * _BLOCK + 1])

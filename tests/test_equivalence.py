@@ -110,6 +110,22 @@ def one_sided_reports(monkeypatch):
     return mul[1], div[1]
 
 
+def test_sweeps_over_empty_domains_do_not_hold(monkeypatch):
+    # a limit of 0 or 1 leaves no exhaustive pair with a non-zero divisor, and
+    # no random pair is drawn: those sweeps checked nothing, so they fail
+    monkeypatch.setattr(equivalence, "ONE_SIDED_MULTIPLIERS", (7,))
+    monkeypatch.setattr(equivalence, "ONE_SIDED_DIVISORS", (7,))
+    for reports, one_sided in (
+        (equivalence.verify_mul_equivalence(limit=0, random_pairs=0), 30_000),
+        (equivalence.verify_div_equivalence(limit=1, random_pairs=0), 10_000),
+    ):
+        assert [(r.domain_size, r.violations, r.holds) for r in reports] == [
+            (0, (), False),
+            (one_sided, (), True),
+            (0, (), False),
+        ]
+
+
 def test_a_wrong_step_is_reported_by_both_one_sided_sweeps(monkeypatch):
     o_add = equivalence.o_add
     monkeypatch.setattr(equivalence, "o_add", lambda x, y: o_add(o_add(x, y), Nat((1,))))

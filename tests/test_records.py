@@ -1,7 +1,9 @@
 """The frozen result records: signed columns, multiplication and division traces, division steps.
 
-Each stores its fields through its own ``__init__``; these tests pin that the
-records still behave as the frozen dataclasses they are declared as.
+Each takes its ``__init__`` from ``digit_string._direct_init``, generated from
+its dataclass fields to store them straight into the instance dict; these
+tests pin that the records still behave as the frozen dataclasses they are
+declared as.
 """
 
 from __future__ import annotations
